@@ -58,6 +58,13 @@ cargo test -q --test recovery
 echo "==> cargo test --release --test shard_equivalence (sharded ≡ monolithic, 100k warehouse)"
 RT_WAREHOUSE_ROWS=100000 cargo test -q --release --test shard_equivalence
 
+# perfbench is a package of its own (not a workspace member), so the sweep
+# above never builds it. Its tests compile it against the layer crates'
+# public APIs: a layer API change that breaks the benchmark fails here,
+# not at the next benchmark run.
+echo "==> cargo test --manifest-path perfbench/Cargo.toml (the wall-time benchmark builds and checks itself)"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 if [ "$quick" -eq 0 ]; then
     echo "==> cargo fmt --check"
     cargo fmt --check
@@ -95,9 +102,10 @@ if [ "$bench" -eq 1 ]; then
     # rebuild bit-identically, and a serve.multi_session scenario driving
     # interleaved sessions over loopback TCP through an LRU eviction with
     # the wire spectrum hard-asserted bit-identical to an in-process twin
-    # (this container has one core and no network, so wall-clock numbers
-    # would be noise — work counters are exact; the server's idle clock is
-    # a logical request counter, so even the serve counters are exact),
+    # (wall-clock numbers on a shared 2-vCPU CI host are too noisy to gate
+    # on — perfbench records them, outside CI — while work counters are
+    # exact; the server's idle clock is a logical request counter, so even
+    # the serve counters are exact),
     # and the warehouse scale tiers (10k/100k/1M rows streamed through the
     # chunked loader into the sharded engine build, per-row counters
     # hard-asserted flat and the 10k tier sharded ≡ monolithic).

@@ -298,6 +298,10 @@ impl Drop for ChaosProxy {
 /// not be comparable to its fault-free twin); the server→client direction
 /// carries the plan's fault.
 fn spawn_relays(client: TcpStream, server: TcpStream, plan: ChaosPlan) {
+    // Both legs forward frames as they arrive; Nagle's algorithm would
+    // hold a frame's tail for the peer's delayed ACK.
+    let _ = client.set_nodelay(true);
+    let _ = server.set_nodelay(true);
     let (Ok(client_read), Ok(server_read)) = (client.try_clone(), server.try_clone()) else {
         let _ = client.shutdown(Shutdown::Both);
         let _ = server.shutdown(Shutdown::Both);

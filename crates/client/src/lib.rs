@@ -169,7 +169,13 @@ fn dial(target: &str) -> Result<Box<dyn Transport>, ClientError> {
                 })
             }
         }
-        None => Ok(Box::new(TcpStream::connect(target)?)),
+        None => {
+            // Frames are small request/response pairs: without NODELAY a
+            // frame's tail can wait out the peer's delayed ACK (~40 ms).
+            let stream = TcpStream::connect(target)?;
+            stream.set_nodelay(true)?;
+            Ok(Box::new(stream))
+        }
     }
 }
 

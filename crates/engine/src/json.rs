@@ -1,16 +1,16 @@
-//! A minimal JSON reader.
+//! The workspace's JSON codec: [`parse`] and [`render`].
 //!
-//! The writing half of the workspace's JSON story lives in `rt-bench`
-//! (flat experiment rows); this is the *reading* half the engine-session
-//! I/O needs — mutation logs (see [`crate::mutation_log`]) and the CI
-//! bench baselines. Just enough JSON, hand-rolled because the build
-//! environment is offline (no serde).
+//! It is the wire codec of the repair service — every `rt-proto` frame is
+//! one value rendered by [`render`] and read back by [`parse`] — and also
+//! reads mutation logs (see [`crate::mutation_log`]), the server's
+//! write-ahead log and the CI bench baselines. Just enough JSON,
+//! hand-rolled because the build environment is offline (no serde).
+//!
+//! Decoding is linear in the input: each byte is looked at a constant
+//! number of times, and a string's unescaped runs are copied as whole
+//! slices, so a multi-megabyte `load_csv` frame decodes in milliseconds.
 
-/// A parsed JSON value.
-///
-/// The reading half of this module: just enough JSON to read back the flat
-/// reports the writer produces (bench baselines, mutation logs). Objects
-/// keep their key order.
+/// A parsed JSON value. Objects keep their key order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     /// `null`.
@@ -91,7 +91,9 @@ pub fn render(value: &JsonValue) -> String {
     out
 }
 
-fn render_into(value: &JsonValue, out: &mut String) {
+/// [`render`], appending to `out`. Lets a writer render a large document
+/// piece by piece, so only one piece's value tree is alive at a time.
+pub fn render_into(value: &JsonValue, out: &mut String) {
     match value {
         JsonValue::Null => out.push_str("null"),
         JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -300,12 +302,19 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Copy one UTF-8 scalar (possibly multi-byte).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|_| "invalid UTF-8")?;
-                // rtlint: allow(D006) -- the Some(_) arm guarantees at least one byte, so the str is non-empty
-                let c = rest.chars().next().expect("non-empty by construction");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next `"` or `\` as one slice. Both
+                // are ASCII, so they never fall inside a multi-byte scalar
+                // and the run of a `&str` is itself valid UTF-8; each byte
+                // is scanned once, so decoding is linear in the input.
+                let start = *pos;
+                let len = bytes[start..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .unwrap_or(bytes.len() - start);
+                *pos += len;
+                out.push_str(
+                    std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "invalid UTF-8")?,
+                );
             }
         }
     }
@@ -356,6 +365,86 @@ mod tests {
         assert!(parse("\"\\ud83d\"").is_err());
         assert!(parse("\"\\ud83d\\u0041\"").is_err());
         assert!(parse("\"\\ude00\"").is_err());
+    }
+
+    /// Parses `"<body>"` as a document and returns the decoded string.
+    fn decode_str(body: &str) -> Result<String, String> {
+        parse(&format!("\"{body}\"")).map(|v| v.as_str().unwrap().to_string())
+    }
+
+    #[test]
+    fn multibyte_runs_next_to_escapes_decode_exactly() {
+        // 2-, 3- and 4-byte scalars in runs, on both sides of each escape.
+        for run in [
+            "\u{e9}\u{f1}\u{fc}",
+            "\u{20ac}\u{4e2d}\u{6587}",
+            "\u{1F600}\u{1D11E}\u{10FFFF}",
+        ] {
+            for (escape, decoded) in [
+                ("\\\"", "\""),
+                ("\\\\", "\\"),
+                ("\\n", "\n"),
+                ("\\u0041", "A"),
+                ("\\u00e9", "\u{e9}"),
+                ("\\ud83d\\ude00", "\u{1F600}"),
+            ] {
+                let body = format!("{run}{escape}{run}{escape}{escape}{run}");
+                let expected = format!("{run}{decoded}{run}{decoded}{decoded}{run}");
+                assert_eq!(decode_str(&body).unwrap(), expected, "body {body:?}");
+                // Escape first and last, so runs meet both string quotes.
+                let body = format!("{escape}{run}{escape}");
+                let expected = format!("{decoded}{run}{decoded}");
+                assert_eq!(decode_str(&body).unwrap(), expected, "body {body:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn surrogate_checks_hold_next_to_runs() {
+        let run = "a\u{e9}\u{20ac}\u{1F600}";
+        assert_eq!(
+            decode_str(&format!("{run}\\ud83d\\ude00{run}")).unwrap(),
+            format!("{run}\u{1F600}{run}")
+        );
+        // A lone high surrogate followed by a run, a high surrogate paired
+        // with a non-surrogate, and a lone low surrogate after a run.
+        let lone_high = decode_str(&format!("{run}\\ud83d{run}")).unwrap_err();
+        assert!(
+            lone_high.contains("unpaired UTF-16 high surrogate"),
+            "{lone_high}"
+        );
+        let bad_low = decode_str(&format!("{run}\\ud83d\\u0041{run}")).unwrap_err();
+        assert!(
+            bad_low.contains("invalid UTF-16 low surrogate"),
+            "{bad_low}"
+        );
+        let lone_low = decode_str(&format!("{run}\\ude00")).unwrap_err();
+        assert!(
+            lone_low.contains("unpaired UTF-16 low surrogate"),
+            "{lone_low}"
+        );
+    }
+
+    #[test]
+    fn empty_and_unterminated_strings() {
+        assert_eq!(decode_str("").unwrap(), "");
+        let v = parse("{\"\":\"\",\"a\":[\"\",\"\"]}").unwrap();
+        assert_eq!(v.get("").unwrap().as_str(), Some(""));
+        assert_eq!(v.get("a").unwrap().as_array().unwrap().len(), 2);
+        // A long run that never closes, with and without a trailing escape.
+        let run = "x\u{e9}\u{20ac}\u{1F600}".repeat(10_000);
+        assert_eq!(
+            parse(&format!("\"{run}")).unwrap_err(),
+            "unterminated string"
+        );
+        assert_eq!(
+            parse(&format!("\"{run}\\n")).unwrap_err(),
+            "unterminated string"
+        );
+        assert_eq!(
+            parse(&format!("[\"{run}\\")).unwrap_err(),
+            format!("bad escape None at byte {}", run.len() + 3)
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Line-delimited framing with a hard size cap.
 
-use std::io::{BufRead, Read, Write};
+use std::io::{self, BufRead, IoSlice, Read, Write};
 
 /// Maximum payload bytes of one frame (excluding the `\n` terminator).
 ///
@@ -82,6 +82,14 @@ pub fn read_frame<R: BufRead>(reader: &mut R) -> Result<String, FrameError> {
 
 /// Writes one frame (payload + `\n`) and flushes.
 ///
+/// The payload and its newline leave in one vectored write, without
+/// copying the payload; short writes are resumed where they stopped and
+/// `Interrupted` is retried, so the peer sees exactly `payload\n`. A
+/// write that accepts zero bytes is reported as [`FrameError::Io`]. One
+/// write per frame matters on TCP: a newline sent on its own after the
+/// payload waits out the peer's delayed ACK before it leaves (Nagle's
+/// algorithm), which stalled every small round trip by ~40 ms per frame.
+///
 /// Payloads are rendered by `rt_engine::json::render`, which escapes every
 /// control character — a rendered frame can never contain a raw newline.
 /// The size cap is enforced here too, so a server response that would be
@@ -91,11 +99,26 @@ pub fn write_frame<W: Write>(writer: &mut W, payload: &str) -> Result<(), FrameE
         return Err(FrameError::Oversized);
     }
     debug_assert!(!payload.contains('\n'), "frame payloads must be one line");
-    writer
-        .write_all(payload.as_bytes())
-        .and_then(|()| writer.write_all(b"\n"))
-        .and_then(|()| writer.flush())
-        .map_err(|e| FrameError::Io(e.to_string()))
+    write_all_vectored(
+        writer,
+        &mut [IoSlice::new(payload.as_bytes()), IoSlice::new(b"\n")],
+    )
+    .and_then(|()| writer.flush())
+    .map_err(|e| FrameError::Io(e.to_string()))
+}
+
+/// `write_all` over several buffers: loops `write_vectored` until every
+/// slice is consumed.
+fn write_all_vectored<W: Write>(writer: &mut W, mut bufs: &mut [IoSlice<'_>]) -> io::Result<()> {
+    while !bufs.is_empty() {
+        match writer.write_vectored(bufs) {
+            Ok(0) => return Err(io::Error::from(io::ErrorKind::WriteZero)),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -144,6 +167,100 @@ mod tests {
     fn invalid_utf8_is_typed() {
         let mut reader = BufReader::new(&[0xff, 0xfe, b'\n'][..]);
         assert!(matches!(read_frame(&mut reader), Err(FrameError::Encoding)));
+    }
+
+    /// Records every `write_vectored` call as the bytes it was handed.
+    #[derive(Default)]
+    struct Recorder {
+        calls: Vec<Vec<u8>>,
+    }
+
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls
+                .push(bufs.iter().flat_map(|b| b.iter().copied()).collect());
+            Ok(bufs.iter().map(|b| b.len()).sum())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn one_frame_is_one_vectored_write() {
+        let mut recorder = Recorder::default();
+        write_frame(&mut recorder, "{\"type\":\"ping\"}").unwrap();
+        assert_eq!(recorder.calls, vec![b"{\"type\":\"ping\"}\n".to_vec()]);
+    }
+
+    /// Accepts at most one byte per call; optionally fails the first call
+    /// with `Interrupted`, or accepts nothing at all.
+    struct Stingy {
+        out: Vec<u8>,
+        interrupt_once: bool,
+        write_zero: bool,
+    }
+
+    impl Stingy {
+        fn new() -> Stingy {
+            Stingy {
+                out: Vec::new(),
+                interrupt_once: false,
+                write_zero: false,
+            }
+        }
+    }
+
+    impl Write for Stingy {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if std::mem::take(&mut self.interrupt_once) {
+                return Err(io::Error::from(io::ErrorKind::Interrupted));
+            }
+            if self.write_zero || buf.is_empty() {
+                return Ok(0);
+            }
+            self.out.push(buf[0]);
+            Ok(1)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn short_and_interrupted_writes_still_produce_one_frame() {
+        let payload = "{\"s\":\"h\u{e9}llo \u{1F600}\"}";
+        let expected = format!("{payload}\n").into_bytes();
+
+        let mut one_byte = Stingy::new();
+        write_frame(&mut one_byte, payload).unwrap();
+        assert_eq!(one_byte.out, expected);
+
+        let mut interrupted = Stingy::new();
+        interrupted.interrupt_once = true;
+        write_frame(&mut interrupted, payload).unwrap();
+        assert_eq!(interrupted.out, expected);
+
+        // The empty payload is still one frame: just the newline.
+        let mut empty = Stingy::new();
+        write_frame(&mut empty, "").unwrap();
+        assert_eq!(empty.out, b"\n");
+    }
+
+    #[test]
+    fn zero_length_write_is_an_io_error() {
+        let mut stuck = Stingy::new();
+        stuck.write_zero = true;
+        assert!(matches!(
+            write_frame(&mut stuck, "{}"),
+            Err(FrameError::Io(_))
+        ));
     }
 
     #[test]

@@ -12,8 +12,10 @@
 //! [`read_frame`] / [`write_frame`]). Frames are capped at
 //! [`MAX_FRAME_BYTES`]; an oversized frame is consumed up to its newline so
 //! the stream stays synchronized, and surfaces as a typed error instead of
-//! a desync. The JSON dialect is exactly the hand-rolled reader/writer of
-//! `rt_engine::json` — no serde, the build environment is offline.
+//! a desync. A frame leaves in one write (payload and newline together),
+//! so a small frame never waits on the peer's delayed ACK. The JSON dialect
+//! is exactly the hand-rolled reader/writer of `rt_engine::json` — no
+//! serde, the build environment is offline.
 //!
 //! ## Grammar
 //!

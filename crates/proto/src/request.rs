@@ -347,6 +347,30 @@ mod tests {
     }
 
     #[test]
+    fn large_load_csv_frame_round_trips() {
+        // ~2 MB of CSV text: string decoding is linear in the frame, so
+        // this takes milliseconds (a per-character decoder that re-scanned
+        // the rest of the frame took 14 s on 816 KB).
+        let mut text = String::from("id,name,city,price\n");
+        for i in 0..50_000 {
+            text.push_str(&format!(
+                "{i},\"Caf\u{e9} \\{i}\",K\u{f8}benhavn,\u{20ac}{i}.5\n"
+            ));
+        }
+        assert!(text.len() > 2_000_000);
+        let request = Request::LoadCsv {
+            session: "s1".into(),
+            text,
+            tsv: false,
+            fds: vec!["id->name".into(), "name->city".into()],
+        };
+        let payload = request.encode();
+        assert!(payload.len() < crate::MAX_FRAME_BYTES);
+        assert!(!payload.contains('\n'), "frames must be one line");
+        assert_eq!(Request::decode(&payload).unwrap(), request);
+    }
+
+    #[test]
     fn only_read_only_requests_are_idempotent() {
         // The retry layer keys off this predicate; a mutating request
         // slipping into the idempotent set would let auto-reconnect

@@ -158,18 +158,9 @@ impl Response {
                 fields.push(("repair", encode_repair(repair)));
             }
             Response::SweepPage { points, done } => {
-                fields.push((
-                    "points",
-                    JsonValue::Arr(points.iter().map(encode_point).collect()),
-                ));
-                fields.push(("done", JsonValue::Bool(*done)));
+                return encode_points(self.kind(), points, Some(*done));
             }
-            Response::Spectrum { points } => {
-                fields.push((
-                    "points",
-                    JsonValue::Arr(points.iter().map(encode_point).collect()),
-                ));
-            }
+            Response::Spectrum { points } => return encode_points(self.kind(), points, None),
             Response::Stats(stats) => {
                 fields.push(("stats", encode_engine_stats(stats)));
             }
@@ -352,6 +343,25 @@ fn decode_effect(v: &JsonValue) -> Result<MutationEffect, String> {
     })
 }
 
+/// Renders `{"type":kind,"points":[...]}` (plus `"done"` for a sweep page)
+/// one point at a time, byte-identical to rendering the whole tree: only
+/// one point's [`JsonValue`] tree is alive at once, not the page's.
+fn encode_points(kind: &str, points: &[RepairPoint], done: Option<bool>) -> String {
+    let mut out = format!("{{\"type\":\"{kind}\",\"points\":[");
+    for (i, point) in points.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        json::render_into(&encode_point(point), &mut out);
+    }
+    out.push(']');
+    if let Some(done) = done {
+        out.push_str(&format!(",\"done\":{done}"));
+    }
+    out.push('}');
+    out
+}
+
 /// Encodes cumulative engine statistics (durations travel as nanoseconds).
 pub fn encode_engine_stats(stats: &EngineStats) -> JsonValue {
     obj(vec![
@@ -523,6 +533,48 @@ mod tests {
                 assert!(spectrum.bit_identical(&decoded_spectrum));
             }
             other => panic!("expected spectrum, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn point_lists_render_exactly_like_the_whole_tree() {
+        let schema = Schema::new("R", vec!["A", "B", "C"]).unwrap();
+        let instance = rt_relation::Instance::from_int_rows(
+            schema.clone(),
+            &[vec![1, 1, 1], vec![1, 2, 2], vec![1, 3, 3], vec![1, 4, 4]],
+        )
+        .unwrap();
+        // Repairing the data takes three cells; `AC->B` takes none.
+        let fds = rt_engine::FdSet::parse(&["A->B"], &schema).unwrap();
+        let engine = rt_engine::RepairEngine::new(instance, fds).unwrap();
+        let points = engine.spectrum().unwrap().points;
+        assert!(points.len() > 1);
+        let tree = |kind: &str, points: &[RepairPoint], done: Option<bool>| {
+            let mut fields = vec![
+                ("type", JsonValue::Str(kind.to_string())),
+                (
+                    "points",
+                    JsonValue::Arr(points.iter().map(encode_point).collect()),
+                ),
+            ];
+            if let Some(done) = done {
+                fields.push(("done", JsonValue::Bool(done)));
+            }
+            json::render(&obj(fields))
+        };
+        for n in [0, 1, points.len()] {
+            let page = &points[..n];
+            for done in [true, false] {
+                let response = Response::SweepPage {
+                    points: page.to_vec(),
+                    done,
+                };
+                assert_eq!(response.encode(), tree("sweep_page", page, Some(done)));
+            }
+            let response = Response::Spectrum {
+                points: page.to_vec(),
+            };
+            assert_eq!(response.encode(), tree("spectrum", page, None));
         }
     }
 }

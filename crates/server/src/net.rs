@@ -166,6 +166,9 @@ impl Server {
                     let _pass = pass;
                     match accepted {
                         Accepted::Tcp(stream) => {
+                            // Replies must leave at once, not wait on the
+                            // client's delayed ACK (Nagle's algorithm).
+                            let _ = stream.set_nodelay(true);
                             let token = stream
                                 .try_clone()
                                 .ok()
@@ -233,7 +236,13 @@ fn serve_connection<S: Read + Write>(stream: S, state: &ServerState) {
             Err(message) => Response::Error(ErrorFrame::protocol("malformed", message)),
         };
         let shutting_down = matches!(response, Response::ShuttingDown);
-        if write_frame(reader.get_mut(), &response.encode()).is_err() {
+        // Free the server's copies before the frame goes out: the client
+        // starts decoding as soon as the write lands, and peak memory is
+        // the two sides' copies alive at once.
+        let frame = response.encode();
+        drop(response);
+        drop(payload);
+        if write_frame(reader.get_mut(), &frame).is_err() {
             return;
         }
         if shutting_down {

@@ -227,6 +227,26 @@ fn closing_twice_is_a_typed_error_not_a_hang() {
     worker.join().unwrap().unwrap();
 }
 
+#[test]
+fn small_round_trips_do_not_stall_on_delayed_acks() {
+    // Each frame leaves in one write on a NODELAY socket, so a ping costs
+    // microseconds on loopback. A frame whose newline is sent in a second
+    // write waits out the peer's delayed ACK (~40 ms each way, ~88 ms per
+    // ping), and 200 pings would take ~17 s.
+    let (client, _handle, _addr, worker) = loopback(ServerConfig::default());
+    let start = std::time::Instant::now();
+    for _ in 0..200 {
+        client.ping().unwrap();
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_secs(2),
+        "200 loopback pings took {elapsed:?}"
+    );
+    client.shutdown().unwrap();
+    worker.join().unwrap().unwrap();
+}
+
 /// Tiny deterministic generator for the fuzz loop (xorshift64*); the
 /// protocol tests must not depend on ambient randomness.
 struct Rng(u64);
