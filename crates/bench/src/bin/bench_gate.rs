@@ -77,30 +77,6 @@ fn measure_spectrum(metrics: &mut Metrics) {
     metrics.push(m("points", points as u64));
     metrics.push(m("cells_changed", cells as u64));
     push_work_counters(metrics, "spectrum");
-
-    // Dominance-pruned rerun: same workload with pruning enabled must record
-    // the bit-identical spectrum while skipping dominated children. (After
-    // `push_work_counters` so the rerun doesn't pollute the work metrics.)
-    let dominant = RepairEngine::builder(
-        workload.dirty_instance().clone(),
-        workload.dirty_fds().clone(),
-    )
-    .weight(WeightKind::DistinctCount)
-    .parallelism(Parallelism::Serial)
-    .max_expansions(200_000)
-    .seed(workload.spec.seed)
-    .dominance_pruning(true)
-    .build()
-    .expect("pruned engine builds");
-    let pruned_spectrum = dominant.spectrum().expect("pruned spectrum completes");
-    assert!(
-        spectrum.bit_identical(&pruned_spectrum),
-        "spectrum: dominance pruning changed the recorded spectrum"
-    );
-    metrics.push(m(
-        "dominance_pruned",
-        dominant.stats().dominance_pruned as u64,
-    ));
 }
 
 /// Scenario 2: a live mutation stream replayed against one engine session,
@@ -197,20 +173,11 @@ fn measure_mutations(metrics: &mut Metrics) {
     metrics.extend(work_metrics);
 }
 
-/// Scenario 3: the typed CSV bulk load against the legacy value-path
-/// reader, on the bundled hospital fixture. The headline property is a
-/// hard assert, not just a gated counter: the encoded path builds **zero**
-/// equality keys (`key_allocs == 0`) where the value path allocates one
-/// per string cell.
+/// Scenario 3: the typed CSV bulk load of the bundled hospital fixture.
+/// The headline property is a hard assert, not just a gated counter: the
+/// encoded path builds **zero** equality keys (`key_allocs == 0`).
 fn measure_csv_load(metrics: &mut Metrics) {
     use rt_scenarios::HOSPITAL_CSV;
-
-    rt_relation::work::reset();
-    let legacy = rt_relation::csv::read_instance("hospital", HOSPITAL_CSV.as_bytes())
-        .expect("fixture parses on the legacy path");
-    let w = rt_relation::work::snapshot();
-    metrics.push(("csv_load.value_key_allocs".into(), w.key_allocs));
-    metrics.push(("csv_load.value_key_bytes".into(), w.key_bytes_hashed));
 
     rt_relation::work::reset();
     let typed = rt_io::read_instance(HOSPITAL_CSV.as_bytes(), &rt_io::CsvOptions::csv())
@@ -220,7 +187,6 @@ fn measure_csv_load(metrics: &mut Metrics) {
         w.key_allocs, 0,
         "the encoded CSV load path must not build equality keys"
     );
-    assert_eq!(typed.instance.len(), legacy.len());
     metrics.push(("csv_load.encoded_key_allocs".into(), w.key_allocs));
     metrics.push(("csv_load.encoded_key_bytes".into(), w.key_bytes_hashed));
     metrics.push(("csv_load.rows".into(), typed.instance.len() as u64));
@@ -310,22 +276,6 @@ fn measure_catalog_scenario(metrics: &mut Metrics, name: &str) {
         "scenario `{name}`: incremental engine diverged from a fresh rebuild"
     );
 
-    // Dominance-pruned rerun on the pre-mutation inputs: enabling the
-    // pruning must skip children without changing one bit of the recorded
-    // spectrum prefix.
-    let dominant = RepairEngine::builder(scenario.dirty.clone(), scenario.dirty_fds.clone())
-        .weight(WeightKind::DistinctCount)
-        .parallelism(Parallelism::Serial)
-        .max_expansions(400_000)
-        .seed(17)
-        .dominance_pruning(true)
-        .build()
-        .expect("dominance-pruned scenario engine builds");
-    assert!(
-        before.bit_identical(&sweep_prefix(&dominant, name)),
-        "scenario `{name}`: dominance pruning changed the recorded spectrum"
-    );
-
     let (points, cells) = spectrum_signature(&before);
     let m = |k: &str, v: u64| (format!("scenario.{name}.{k}"), v);
     metrics.push(m("conflict_edges", edge_count as u64));
@@ -335,10 +285,6 @@ fn measure_catalog_scenario(metrics: &mut Metrics, name: &str) {
     metrics.push(m(
         "heuristic_cache_entries",
         stats.heuristic_cache_entries as u64,
-    ));
-    metrics.push(m(
-        "dominance_pruned",
-        dominant.stats().dominance_pruned as u64,
     ));
     metrics.push(m("points", points as u64));
     metrics.push(m("cells_changed", cells as u64));
@@ -763,17 +709,18 @@ fn measure() -> Metrics {
     metrics
 }
 
+/// One metric per line, so baseline diffs stay readable; each key and
+/// value is rendered by the workspace JSON codec.
 fn render(metrics: &Metrics) -> String {
-    use rt_bench::json::ToJson;
     let mut out = String::from("{\"format\": 1,\n \"metrics\": {\n");
     for (i, (k, v)) in metrics.iter().enumerate() {
         if i > 0 {
             out.push_str(",\n");
         }
         out.push_str("  ");
-        k.write_json(&mut out);
+        out.push_str(&json::render(&JsonValue::from(k.as_str())));
         out.push_str(": ");
-        v.write_json(&mut out);
+        out.push_str(&json::render(&JsonValue::from(*v)));
     }
     out.push_str("\n }}\n");
     out

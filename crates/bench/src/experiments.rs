@@ -1,8 +1,7 @@
 //! Experiment drivers — one function per table/figure of the paper.
 //!
 //! Every driver returns plain serializable rows so the `exp_*` binaries can
-//! print them as tables and dump them as JSON, and the Criterion benches can
-//! reuse the same workload construction.
+//! print them as tables and dump them as JSON.
 
 use crate::workloads::{Scale, Workload, WorkloadSpec};
 use rt_baseline::UnifiedCostConfig;

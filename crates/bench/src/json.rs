@@ -1,127 +1,26 @@
-//! Minimal JSON serialization for experiment rows.
+//! JSON for experiment rows.
 //!
-//! The build environment cannot fetch `serde`/`serde_json`, and the only
-//! JSON the workspace ever produces is flat experiment-result rows (numbers,
-//! strings, booleans, options and vectors thereof). This module provides
-//! exactly that: a [`ToJson`] trait with primitive impls and the
-//! [`crate::impl_to_json`] macro deriving an object serializer for a
-//! named-field struct.
+//! [`crate::impl_to_json`] turns a named-field struct into a [`JsonValue`]
+//! object, and the workspace's one codec, [`render`] from `rt_engine::json`,
+//! writes it. Fields convert through `JsonValue::from`, so numbers,
+//! strings, booleans and options of them are supported; non-finite floats
+//! render as `null`.
 
-/// Values that can render themselves as a JSON fragment.
-pub trait ToJson {
-    /// Appends this value's JSON rendering to `out`.
-    fn write_json(&self, out: &mut String);
+pub use rt_engine::json::{render, JsonValue};
 
-    /// Convenience: the value as a standalone JSON string.
-    fn to_json(&self) -> String {
-        let mut out = String::new();
-        self.write_json(&mut out);
-        out
-    }
-}
-
-macro_rules! json_via_display {
-    ($($t:ty),*) => {$(
-        impl ToJson for $t {
-            fn write_json(&self, out: &mut String) {
-                out.push_str(&self.to_string());
-            }
-        }
-    )*};
-}
-
-json_via_display!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, bool);
-
-impl ToJson for f64 {
-    fn write_json(&self, out: &mut String) {
-        if self.is_finite() {
-            out.push_str(&self.to_string());
-        } else {
-            // JSON has no NaN/Infinity literal.
-            out.push_str("null");
-        }
-    }
-}
-
-impl ToJson for str {
-    fn write_json(&self, out: &mut String) {
-        out.push('"');
-        for c in self.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-    }
-}
-
-impl ToJson for String {
-    fn write_json(&self, out: &mut String) {
-        self.as_str().write_json(out);
-    }
-}
-
-impl<T: ToJson> ToJson for Option<T> {
-    fn write_json(&self, out: &mut String) {
-        match self {
-            Some(v) => v.write_json(out),
-            None => out.push_str("null"),
-        }
-    }
-}
-
-impl<T: ToJson> ToJson for Vec<T> {
-    fn write_json(&self, out: &mut String) {
-        self.as_slice().write_json(out);
-    }
-}
-
-impl<T: ToJson> ToJson for [T] {
-    fn write_json(&self, out: &mut String) {
-        out.push('[');
-        for (i, v) in self.iter().enumerate() {
-            if i > 0 {
-                out.push_str(",\n ");
-            }
-            v.write_json(out);
-        }
-        out.push(']');
-    }
-}
-
-impl<T: ToJson + ?Sized> ToJson for &T {
-    fn write_json(&self, out: &mut String) {
-        (*self).write_json(out);
-    }
-}
-
-/// Implements [`ToJson`] for a named-field struct, rendering it as a JSON
-/// object with the field names as keys.
+/// Implements `From<&T> for JsonValue` for a named-field struct `T`,
+/// building a JSON object with the field names as keys.
 #[macro_export]
 macro_rules! impl_to_json {
     ($ty:ty { $($field:ident),+ $(,)? }) => {
-        impl $crate::json::ToJson for $ty {
-            fn write_json(&self, out: &mut String) {
-                out.push('{');
-                let mut first = true;
-                $(
-                    if !first {
-                        out.push_str(", ");
-                    }
-                    first = false;
-                    let _ = first;
-                    out.push('"');
-                    out.push_str(stringify!($field));
-                    out.push_str("\": ");
-                    $crate::json::ToJson::write_json(&self.$field, out);
-                )+
-                out.push('}');
+        impl From<&$ty> for $crate::json::JsonValue {
+            fn from(row: &$ty) -> Self {
+                $crate::json::JsonValue::Obj(vec![$(
+                    (
+                        stringify!($field).to_string(),
+                        $crate::json::JsonValue::from(row.$field.clone()),
+                    ),
+                )+])
             }
         }
     };
@@ -132,41 +31,32 @@ mod tests {
     use super::*;
 
     #[test]
-    fn primitives_render() {
-        assert_eq!(1usize.to_json(), "1");
-        assert_eq!((-2i64).to_json(), "-2");
-        assert_eq!(0.5f64.to_json(), "0.5");
-        assert_eq!(f64::NAN.to_json(), "null");
-        assert_eq!(true.to_json(), "true");
-        assert_eq!("a\"b\\c\n".to_json(), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(Some(3usize).to_json(), "3");
-        assert_eq!(Option::<usize>::None.to_json(), "null");
-    }
-
-    #[test]
     fn vectors_and_structs_render() {
         struct Row {
             x: usize,
             y: f64,
             label: String,
+            best: Option<f64>,
         }
-        impl_to_json!(Row { x, y, label });
-        let rows = vec![
+        crate::impl_to_json!(Row { x, y, label, best });
+        let rows = [
             Row {
                 x: 1,
                 y: 0.5,
                 label: "a".to_string(),
+                best: Some(0.25),
             },
             Row {
                 x: 2,
-                y: 0.25,
-                label: "b".to_string(),
+                y: f64::NAN,
+                label: "b\"".to_string(),
+                best: None,
             },
         ];
-        let json = rows.to_json();
-        assert!(json.starts_with('['));
-        assert!(json.contains("\"x\": 1"));
-        assert!(json.contains("\"y\": 0.25"));
-        assert!(json.contains("\"label\": \"b\""));
+        let doc = JsonValue::Arr(rows.iter().map(JsonValue::from).collect());
+        assert_eq!(
+            render(&doc),
+            r#"[{"x":1,"y":0.5,"label":"a","best":0.25},{"x":2,"y":null,"label":"b\"","best":null}]"#
+        );
     }
 }

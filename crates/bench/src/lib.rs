@@ -1,7 +1,8 @@
 //! # rt-bench
 //!
 //! Experiment drivers reproducing every table and figure of the paper's
-//! evaluation (Section 8), plus the Criterion micro-benchmarks.
+//! evaluation (Section 8), plus `bench_gate`, the deterministic
+//! work-counter regression gate CI runs against `ci/bench_baseline.json`.
 //!
 //! Each experiment lives in [`experiments`] as a plain function returning a
 //! vector of result rows; the `exp_*` binaries print those rows as a table

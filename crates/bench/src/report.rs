@@ -1,6 +1,6 @@
 //! Rendering experiment results as aligned text tables and JSON reports.
 
-use crate::json::ToJson;
+use crate::json::{render, JsonValue};
 use std::path::PathBuf;
 
 /// Renders a simple aligned table (header + rows) for terminal output.
@@ -52,11 +52,16 @@ pub fn report_dir() -> PathBuf {
     dir
 }
 
-/// Serializes an experiment's rows to `target/experiments/<name>.json`.
-/// Returns the path on success.
-pub fn write_json_report<T: ToJson + ?Sized>(name: &str, rows: &T) -> Option<PathBuf> {
+/// Serializes an experiment's rows (see [`crate::impl_to_json`]) to
+/// `target/experiments/<name>.json` as one JSON array. Returns the path on
+/// success.
+pub fn write_json_report<T>(name: &str, rows: &[T]) -> Option<PathBuf>
+where
+    for<'a> JsonValue: From<&'a T>,
+{
+    let doc = JsonValue::Arr(rows.iter().map(JsonValue::from).collect());
     let path = report_dir().join(format!("{name}.json"));
-    std::fs::write(&path, rows.to_json()).ok()?;
+    std::fs::write(&path, render(&doc)).ok()?;
     Some(path)
 }
 

@@ -20,7 +20,7 @@
 //! cache whatever they need at construction time.
 
 use crate::attrset::AttrSet;
-use rt_relation::{AttrId, Instance};
+use rt_relation::Instance;
 use std::collections::HashMap;
 use std::sync::Mutex;
 
@@ -45,22 +45,6 @@ pub trait Weight: Send + Sync {
     fn fingerprint(&self) -> Option<u64> {
         None
     }
-
-    /// `true` only if appending attribute `a` to *any* extension set drawn
-    /// from `domain` is guaranteed to strictly increase its weight:
-    /// `w(Y ∪ {a}) > w(Y)` for every `Y ⊆ domain \ {a}`.
-    ///
-    /// Dominance pruning relies on this to know that a state carrying a
-    /// conflict-irrelevant attribute is strictly costlier than its
-    /// counterpart without it — with a merely *non-decreasing* weight the
-    /// two could tie and the pruned state could legitimately be recorded.
-    /// `domain` is the set of extension attributes the search can actually
-    /// append for the FD in question, which keeps the check as permissive
-    /// as soundness allows. The conservative default is `false` (never
-    /// assume strictness), which simply disables pruning on that attribute.
-    fn strict_gain_within(&self, _a: AttrId, _domain: AttrSet) -> bool {
-        false
-    }
 }
 
 /// `w(Y) = |Y|`: each appended attribute costs 1.
@@ -75,11 +59,6 @@ impl Weight for AttrCountWeight {
     fn fingerprint(&self) -> Option<u64> {
         // Data-independent: every AttrCountWeight is the same function.
         Some(0xA77C_0047)
-    }
-
-    fn strict_gain_within(&self, _a: AttrId, _domain: AttrSet) -> bool {
-        // |Y ∪ {a}| = |Y| + 1: every attribute strictly gains.
-        true
     }
 }
 
@@ -115,18 +94,6 @@ impl Weight for DistinctCountWeight {
         self.cache.lock().unwrap().insert(attrs, w);
         w
     }
-
-    fn strict_gain_within(&self, a: AttrId, domain: AttrSet) -> bool {
-        // `|Π_{Y∪{a}}(I)| > |Π_Y(I)|` fails exactly when `Y → a` holds in
-        // `I`; if even the largest candidate `Y = domain \ {a}` does not
-        // determine `a`, no subset does (augmentation), so every extension
-        // set drawn from the domain gains strictly.
-        let rest = domain.difference(AttrSet::singleton(a)).to_vec();
-        let mut with_a = rest.clone();
-        with_a.push(a);
-        self.instance.distinct_projection_count(&with_a)
-            > self.instance.distinct_projection_count(&rest)
-    }
 }
 
 /// `w(Y) = Σ_{A ∈ Y} H(A)`: sum of the Shannon entropies of the appended
@@ -154,11 +121,6 @@ impl Weight for EntropyWeight {
             .iter()
             .map(|a| self.entropies.get(a.index()).copied().unwrap_or(0.0))
             .sum()
-    }
-
-    fn strict_gain_within(&self, a: AttrId, _domain: AttrSet) -> bool {
-        // A constant column has zero entropy and adds nothing to the sum.
-        self.entropies.get(a.index()).copied().unwrap_or(0.0) > 0.0
     }
 
     fn fingerprint(&self) -> Option<u64> {

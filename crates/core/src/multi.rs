@@ -18,7 +18,6 @@ use crate::search::{
     SearchConfig, SearchStats, Stopwatch,
 };
 use crate::state::RepairState;
-use rt_constraints::AttrSet;
 use rt_par::{par_map_coarse, par_map_indexed, Parallelism};
 
 /// An FD repair annotated with the relative-trust interval it covers: every
@@ -77,18 +76,6 @@ impl MultiRepairOutcome {
                 self.stats,
             )
         })
-    }
-}
-
-/// Dominance skip masks for the traversal — empty (and free) unless the
-/// config opts into pruning: computing the masks costs per-attribute
-/// projection scans (`Weight::strict_gain_within`), which the default
-/// configuration should not pay for.
-fn dominance_masks(problem: &RepairProblem, config: &SearchConfig) -> Vec<AttrSet> {
-    if config.dominance_pruning {
-        problem.conflict_irrelevant_attrs()
-    } else {
-        Vec::new()
     }
 }
 
@@ -284,9 +271,6 @@ pub struct RangeSearch<'p> {
     /// Memo table for the structural half of `gc(S)`; rides along in
     /// [`SweepCheckpoint`] so suspend/resume keeps warm entries.
     cache: HeuristicCache,
-    /// Per-FD conflict-irrelevant attributes — the dominance-pruning skip
-    /// masks (recomputed from the problem; never checkpointed).
-    irrelevant: Vec<AttrSet>,
 }
 
 impl<'p> RangeSearch<'p> {
@@ -335,7 +319,6 @@ impl<'p> RangeSearch<'p> {
             found: Vec::new(),
             replay_idx: 0,
             cache,
-            irrelevant: dominance_masks(problem, config),
         }
     }
 
@@ -378,7 +361,6 @@ impl<'p> RangeSearch<'p> {
             found: checkpoint.found,
             replay_idx: 0,
             cache: checkpoint.cache,
-            irrelevant: dominance_masks(problem, config),
         }
     }
 
@@ -437,9 +419,9 @@ impl<'p> RangeSearch<'p> {
             // Pop the entry with the smallest priority (ties: smaller cost,
             // then insertion order). The shift-`remove` keeps the scan order
             // equal to insertion order, so a `(priority, cost)` tie resolves
-            // the same way no matter which other entries have been popped —
-            // or dominance-pruned — before it; `swap_remove` would let the
-            // list *layout* pick tie winners and make pruning observable.
+            // the same way no matter which other entries have been popped
+            // before it; `swap_remove` would let the list *layout* pick tie
+            // winners.
             let best_idx = self
                 .open
                 .iter()
@@ -518,12 +500,7 @@ impl<'p> RangeSearch<'p> {
             // children are where strictly cheaper-data / costlier-FD repairs
             // live). Like the refresh, the child estimates are independent.
             let new_tau = self.tau.max(0) as usize;
-            let (children, pruned) = if config.dominance_pruning {
-                state.children_filtered(problem.sigma(), problem.arity(), &self.irrelevant)
-            } else {
-                (state.children(problem.sigma(), problem.arity()), 0)
-            };
-            self.stats.dominance_pruned += pruned;
+            let children = state.children(problem.sigma(), problem.arity());
             let costs: Vec<f64> = par_map_indexed(config.parallelism, children.len(), |i| {
                 problem.dist_c(&children[i])
             });
@@ -621,7 +598,6 @@ pub fn sampling_search(
         stats.heuristic_cache_entries = stats
             .heuristic_cache_entries
             .max(outcome.stats.heuristic_cache_entries);
-        stats.dominance_pruned += outcome.stats.dominance_pruned;
         stats.truncated |= outcome.stats.truncated;
         if let Some(repair) = outcome.repair {
             let duplicate = repairs.iter().any(|r| r.repair.state == repair.state);

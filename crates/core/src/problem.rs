@@ -374,42 +374,6 @@ impl RepairProblem {
         self.sigma.len()
     }
 
-    /// Per-FD sets of conflict-irrelevant extension attributes, the
-    /// dominance-pruning skip masks.
-    ///
-    /// Attribute `A` is *relevant* for FD `j` only if some difference-set
-    /// group contains both `A` and `rhs_j` while being disjoint from
-    /// `lhs_j` — the only groups FD `j` can ever violate, and the only place
-    /// an appended `A` enters a violation check. Appending an irrelevant
-    /// `A` to FD `j` therefore changes no violation in any descendant
-    /// state: the whole subtree has the conflict structure (and so the
-    /// `δ_P`) of its `A`-free counterpart.
-    ///
-    /// The mask is further restricted to attributes with a *strictly*
-    /// positive marginal weight over the FD's extension domain
-    /// ([`Weight::strict_gain_within`]): only then is the counterpart
-    /// strictly cheaper, so the pruned state can never be the search's
-    /// recorded tie-winner and pruning stays invisible in the spectrum.
-    pub fn conflict_irrelevant_attrs(&self) -> Vec<AttrSet> {
-        let arity = self.arity();
-        self.sigma
-            .iter()
-            .map(|(_, fd)| {
-                let relevant = self
-                    .diff_groups
-                    .iter()
-                    .filter(|g| g.attrs.contains(fd.rhs) && fd.lhs.is_disjoint_from(g.attrs))
-                    .fold(AttrSet::EMPTY, |acc, g| acc.union(g.attrs));
-                let domain = fd.extension_candidates(arity);
-                domain
-                    .difference(relevant)
-                    .iter()
-                    .filter(|a| self.weight.strict_gain_within(*a, domain))
-                    .collect()
-            })
-            .collect()
-    }
-
     /// Number of attributes `|R|`.
     pub fn arity(&self) -> usize {
         self.instance.schema().arity()

@@ -55,17 +55,6 @@ pub struct SearchConfig {
     /// way; on saves the exponential enumeration whenever a projected
     /// difference-set key repeats at an answerable `τ`.
     pub heuristic_cache: bool,
-    /// Skip enqueueing sweep children whose single added attribute is
-    /// conflict-irrelevant for the FD it extends (no difference-set group
-    /// contains both it and that FD's RHS while avoiding its LHS) *and*
-    /// strictly weight-increasing over the FD's extension domain
-    /// (`Weight::strict_gain_within`) — such a child's whole subtree
-    /// repeats the conflict structure of its attribute-free counterpart at
-    /// strictly higher cost, so it can never be a recorded repair; see
-    /// `RepairProblem::conflict_irrelevant_attrs`. Off by default because
-    /// it changes `states_generated`/`states_expanded` accounting; recorded
-    /// spectra stay bit-identical. `RangeSearch` only.
-    pub dominance_pruning: bool,
     /// Read the wall clock around searches and report it in
     /// [`SearchStats::elapsed`]. Off by default: tests and gates compare
     /// counters, and a search that never looks at a clock cannot leak
@@ -81,7 +70,6 @@ impl Default for SearchConfig {
             heuristic: HeuristicConfig::default(),
             parallelism: Parallelism::Auto,
             heuristic_cache: true,
-            dominance_pruning: false,
             timing: false,
         }
     }
@@ -124,9 +112,6 @@ pub struct SearchStats {
     /// difference-set keys) — a gauge (the current cache size), not a
     /// cumulative counter.
     pub heuristic_cache_entries: usize,
-    /// Children skipped by dominance pruning (conflict-irrelevant single
-    /// additions; `RangeSearch` only).
-    pub dominance_pruned: usize,
     /// Wall-clock time of the search.
     pub elapsed: Duration,
     /// `true` when the expansion cap was hit before finding a goal.

@@ -2,9 +2,10 @@
 //!
 //! It is the wire codec of the repair service — every `rt-proto` frame is
 //! one value rendered by [`render`] and read back by [`parse`] — and also
-//! reads mutation logs (see [`crate::mutation_log`]), the server's
-//! write-ahead log and the CI bench baselines. Just enough JSON,
-//! hand-rolled because the build environment is offline (no serde).
+//! writes and reads mutation logs (see [`crate::mutation_log`]), the
+//! server's write-ahead log, the CI bench baselines and the experiment
+//! reports. Just enough JSON, hand-rolled because the build environment is
+//! offline (no serde).
 //!
 //! Decoding is linear in the input: each byte is looked at a constant
 //! number of times, and a string's unescaped runs are copied as whole
@@ -77,6 +78,48 @@ impl JsonValue {
     }
 }
 
+impl From<f64> for JsonValue {
+    fn from(n: f64) -> Self {
+        JsonValue::Num(n)
+    }
+}
+
+impl From<usize> for JsonValue {
+    fn from(n: usize) -> Self {
+        JsonValue::Num(n as f64)
+    }
+}
+
+impl From<u64> for JsonValue {
+    fn from(n: u64) -> Self {
+        JsonValue::Num(n as f64)
+    }
+}
+
+impl From<bool> for JsonValue {
+    fn from(b: bool) -> Self {
+        JsonValue::Bool(b)
+    }
+}
+
+impl From<&str> for JsonValue {
+    fn from(s: &str) -> Self {
+        JsonValue::Str(s.to_string())
+    }
+}
+
+impl From<String> for JsonValue {
+    fn from(s: String) -> Self {
+        JsonValue::Str(s)
+    }
+}
+
+impl<T: Into<JsonValue>> From<Option<T>> for JsonValue {
+    fn from(v: Option<T>) -> Self {
+        v.map_or(JsonValue::Null, Into::into)
+    }
+}
+
 /// Renders a value as compact single-line JSON.
 ///
 /// The inverse of [`parse`] and the writer `rt-proto` frames ride on:
@@ -84,7 +127,8 @@ impl JsonValue {
 /// never contains a raw line break — one rendered value is always one
 /// line-delimited frame. Numbers print integrally when they are integral
 /// (so `parse ∘ render` is the identity for every value `parse` can
-/// produce, up to f64 precision).
+/// produce, up to f64 precision). JSON has no literal for NaN or the
+/// infinities, so non-finite numbers render as `null`.
 pub fn render(value: &JsonValue) -> String {
     let mut out = String::new();
     render_into(value, &mut out);
@@ -97,6 +141,7 @@ pub fn render_into(value: &JsonValue, out: &mut String) {
     match value {
         JsonValue::Null => out.push_str("null"),
         JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        JsonValue::Num(n) if !n.is_finite() => out.push_str("null"),
         JsonValue::Num(n) if n.fract() == 0.0 && n.abs() < 9.007_199_254_740_992e15 => {
             out.push_str(&format!("{}", *n as i64));
         }
@@ -127,7 +172,8 @@ pub fn render_into(value: &JsonValue, out: &mut String) {
     }
 }
 
-fn render_str(s: &str, out: &mut String) {
+/// Appends `s` as a quoted, escaped JSON string.
+pub(crate) fn render_str(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -458,6 +504,30 @@ mod tests {
         // Integral floats print integrally; fractional ones keep their dot.
         assert_eq!(render(&JsonValue::Num(3.0)), "3");
         assert_eq!(render(&JsonValue::Num(-0.5)), "-0.5");
+        // Non-finite numbers have no JSON spelling: they render as `null`,
+        // which parses back.
+        for n in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let rendered = render(&JsonValue::Arr(vec![JsonValue::Num(n)]));
+            assert_eq!(rendered, "[null]");
+            assert_eq!(
+                parse(&rendered).unwrap(),
+                JsonValue::Arr(vec![JsonValue::Null])
+            );
+        }
+    }
+
+    #[test]
+    fn primitives_render() {
+        let r = |v: JsonValue| render(&v);
+        assert_eq!(r(1usize.into()), "1");
+        assert_eq!(r((1u64 << 40).into()), "1099511627776");
+        assert_eq!(r(0.5f64.into()), "0.5");
+        assert_eq!(r(f64::NAN.into()), "null");
+        assert_eq!(r(true.into()), "true");
+        assert_eq!(r("a\"b\\c\n".into()), "\"a\\\"b\\\\c\\n\"");
+        assert_eq!(r(String::from("s").into()), "\"s\"");
+        assert_eq!(r(Some(3usize).into()), "3");
+        assert_eq!(r(Option::<f64>::None.into()), "null");
     }
 
     #[test]

@@ -37,22 +37,6 @@ use rt_relation::{AttrId, CellRef, Schema, Tuple, Value};
 /// representation, so it cannot be trusted.
 const MAX_EXACT_INT: i64 = 1 << 53;
 
-fn write_json_str(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 fn render_value(value: &Value, out: &mut String) {
     match value {
         Value::Null => out.push_str("null"),
@@ -64,16 +48,16 @@ fn render_value(value: &Value, out: &mut String) {
         Value::Float(x) if x.get().is_finite() && x.get().fract() != 0.0 => {
             out.push_str(&x.get().to_string())
         }
-        Value::Float(x) => write_json_str(&format!("float:{}", x.get()), out),
+        Value::Float(x) => json::render_str(&format!("float:{}", x.get()), out),
         // String cells that *look* like a tagged value are escaped with the
         // "str:" prefix so the round trip never changes their type.
         Value::Str(s) if s.starts_with("float:") || s.starts_with("str:") => {
-            write_json_str(&format!("str:{s}"), out)
+            json::render_str(&format!("str:{s}"), out)
         }
-        Value::Str(s) => write_json_str(s, out),
+        Value::Str(s) => json::render_str(s, out),
         // Variables only appear in *repaired* V-instances, never in logged
         // input mutations; render defensively as a tagged string.
-        Value::Var(v) => write_json_str(&format!("var:{}:{}", v.attr, v.id), out),
+        Value::Var(v) => json::render_str(&format!("var:{}:{}", v.attr, v.id), out),
     }
 }
 
@@ -119,8 +103,8 @@ pub fn render_mutation_log(ops: &[MutationOp], schema: &Schema) -> String {
                     cell.row
                 ));
                 match schema.attr_name(cell.attr) {
-                    Ok(name) => write_json_str(name, &mut out),
-                    Err(_) => write_json_str(&cell.attr.0.to_string(), &mut out),
+                    Ok(name) => json::render_str(name, &mut out),
+                    Err(_) => json::render_str(&cell.attr.0.to_string(), &mut out),
                 }
                 out.push_str(", \"value\": ");
                 render_value(value, &mut out);
@@ -133,7 +117,7 @@ pub fn render_mutation_log(ops: &[MutationOp], schema: &Schema) -> String {
                     .iter()
                     .map(|a| schema.attr_name(a).unwrap_or("?"))
                     .collect();
-                write_json_str(
+                json::render_str(
                     &format!(
                         "{}->{}",
                         lhs.join(","),
@@ -328,6 +312,42 @@ mod tests {
         let text = render_mutation_log(&ops, &s);
         let parsed = parse_mutation_log(&text, &s).unwrap();
         assert_eq!(parsed, ops);
+    }
+
+    /// The exact bytes of a rendered log are a contract: the benchmark
+    /// client sends them over the wire as-is.
+    #[test]
+    fn rendered_bytes_are_pinned() {
+        let s = schema();
+        let ops = vec![
+            MutationOp::InsertTuples(vec![
+                Tuple::new(vec![
+                    Value::int(1),
+                    Value::str("q\"b\\s\n\t\u{1}é"),
+                    Value::Null,
+                ]),
+                Tuple::new(vec![
+                    Value::float(1.5),
+                    Value::float(3.0),
+                    Value::str("str:x"),
+                ]),
+            ]),
+            MutationOp::UpdateCell(CellRef::new(2, AttrId(1)), Value::str("v")),
+            MutationOp::UpdateCell(CellRef::new(0, AttrId(9)), Value::int(-4)),
+            MutationOp::DeleteTuples(vec![4, 2]),
+            MutationOp::AddFd(Fd::parse("A,B->C", &s).unwrap()),
+            MutationOp::RemoveFd(1),
+        ];
+        let expected = [
+            r#"[{"op": "insert", "rows": [[1, "q\"b\\s\n\t\u0001é", null], [1.5, "float:3", "str:str:x"]]}"#,
+            r#"{"op": "update", "row": 2, "attr": "B", "value": "v"}"#,
+            r#"{"op": "update", "row": 0, "attr": "9", "value": -4}"#,
+            r#"{"op": "delete", "rows": [4, 2]}"#,
+            r#"{"op": "add_fd", "fd": "A,B->C"}"#,
+            r#"{"op": "remove_fd", "index": 1}]"#,
+        ]
+        .join(",\n ");
+        assert_eq!(render_mutation_log(&ops, &s), expected);
     }
 
     #[test]

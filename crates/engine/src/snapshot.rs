@@ -15,7 +15,7 @@
 //! ```text
 //! snapshot   := magic version section_count section*
 //! magic      := "RTSNAP01"                      (8 bytes)
-//! version    := u32                             (currently 1)
+//! version    := u32                             (currently 3)
 //! section    := tag:u32 len:u64 crc:u32 payload (len bytes)
 //! ```
 //!
@@ -25,6 +25,10 @@
 //! with a typed [`EngineError::Snapshot`] — never a panic: every length is
 //! bounds-checked against the remaining bytes before it allocates, and
 //! every decoded index is validated against the structure it points into.
+//!
+//! Version 3 dropped the retired child-pruning flag from CONFIG and its
+//! counter from every stats record (STATS and the search stats inside
+//! SWEEP); a version-2 blob is rejected with the typed version error.
 
 use crate::error::EngineError;
 use crate::stats::EngineStats;
@@ -42,7 +46,7 @@ use std::time::Duration;
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"RTSNAP01";
 
 /// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 // Section tags. CONFIG..STATS are required; SWEEP and WARM are present only
 // when the engine holds the corresponding cache.
@@ -172,7 +176,6 @@ fn put_search_stats(out: &mut Vec<u8>, s: &SearchStats) {
     put_usize(out, s.heuristic_nodes);
     put_usize(out, s.heuristic_cache_hits);
     put_usize(out, s.heuristic_cache_entries);
-    put_usize(out, s.dominance_pruned);
     put_duration(out, s.elapsed);
     put_bool(out, s.truncated);
 }
@@ -353,7 +356,6 @@ impl<'a> Reader<'a> {
             heuristic_nodes: self.usize_()?,
             heuristic_cache_hits: self.usize_()?,
             heuristic_cache_entries: self.usize_()?,
-            dominance_pruned: self.usize_()?,
             elapsed: self.duration()?,
             truncated: self.bool_()?,
         })
@@ -463,7 +465,6 @@ pub(crate) fn encode(
         }
     }
     put_bool(&mut config, search_config.heuristic_cache);
-    put_bool(&mut config, search_config.dominance_pruning);
     put_bool(&mut config, search_config.timing);
     put_bool(&mut config, problem.has_partition_index());
 
@@ -534,7 +535,6 @@ pub(crate) fn encode(
     put_usize(&mut stats_sec, stats.heuristic_nodes);
     put_usize(&mut stats_sec, stats.heuristic_cache_hits);
     put_usize(&mut stats_sec, stats.heuristic_cache_entries);
-    put_usize(&mut stats_sec, stats.dominance_pruned);
     put_duration(&mut stats_sec, stats.search_elapsed);
     put_bool(&mut stats_sec, stats.truncated);
     put_usize(&mut stats_sec, stats.mutation_batches);
@@ -721,7 +721,6 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<DecodedEngine, EngineError> {
         (t, _) => return Err(bad(format!("unknown parallelism tag {t}"))),
     };
     let heuristic_cache = r.bool_()?;
-    let dominance_pruning = r.bool_()?;
     let timing = r.bool_()?;
     let has_partition_index = r.bool_()?;
     let search_config = SearchConfig {
@@ -732,7 +731,6 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<DecodedEngine, EngineError> {
         },
         parallelism,
         heuristic_cache,
-        dominance_pruning,
         timing,
     };
 
@@ -851,7 +849,6 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<DecodedEngine, EngineError> {
         heuristic_nodes: r.usize_()?,
         heuristic_cache_hits: r.usize_()?,
         heuristic_cache_entries: r.usize_()?,
-        dominance_pruned: r.usize_()?,
         search_elapsed: r.duration()?,
         truncated: r.bool_()?,
         mutation_batches: r.usize_()?,

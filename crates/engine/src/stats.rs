@@ -40,8 +40,6 @@ pub struct EngineStats {
     /// Largest heuristic-cache size (distinct `(V, τ)` entries) observed in
     /// any search — a gauge, not a cumulative counter.
     pub heuristic_cache_entries: usize,
-    /// Sweep children skipped by dominance pruning, across all queries.
-    pub dominance_pruned: usize,
     /// Wall-clock time spent inside FD searches, across all queries.
     pub search_elapsed: Duration,
     /// `true` when any query hit the expansion cap.
@@ -93,7 +91,6 @@ impl EngineStats {
         self.heuristic_cache_entries = self
             .heuristic_cache_entries
             .max(stats.heuristic_cache_entries);
-        self.dominance_pruned += stats.dominance_pruned;
         self.search_elapsed += stats.elapsed;
         self.truncated |= stats.truncated;
     }

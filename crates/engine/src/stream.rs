@@ -146,7 +146,6 @@ impl<'e> RepairStream<'e> {
             // A gauge, not a counter: pass the current cache size through
             // (the engine folds it in with `max`, not `+`).
             heuristic_cache_entries: now.heuristic_cache_entries,
-            dominance_pruned: now.dominance_pruned - self.absorbed.dominance_pruned,
             elapsed: now.elapsed.saturating_sub(self.absorbed.elapsed),
             truncated: now.truncated,
         };

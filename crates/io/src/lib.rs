@@ -1,11 +1,11 @@
 //! # rt-io
 //!
-//! Typed, streaming CSV/TSV ingestion for the relative-trust repair system.
+//! Typed, streaming CSV/TSV ingestion for the relative-trust repair system,
+//! and the writer that is its inverse.
 //!
-//! The legacy reader (`rt_relation::csv`) parses every cell into an owned
-//! `Value` and pushes whole tuples — one transient heap key per string
-//! cell. This crate is the bulk-load front door that avoids that round
-//! trip: a hand-rolled, offline, streaming record parser
+//! This crate is the one CSV path in and out of an instance. Loading never
+//! parses a cell into an owned `Value` probe key: a hand-rolled, offline,
+//! streaming record parser
 //! ([`record::RecordReader`]: quoting, escaped quotes, CRLF, multiline
 //! quoted fields, configurable delimiter, header handling) feeds raw field
 //! text **directly into the dictionary encoding** via
@@ -26,6 +26,10 @@
 //! * [`infer_schema`] / [`infer_schema_path`] — the inference pass alone.
 //! * [`InstanceCsvExt`] — the `Instance::from_csv` convenience.
 //!
+//! [`write_instance`] / [`write_instance_to_path`] go the other way: they
+//! quote every field the reader would trim, read as null or split, so
+//! reading the output back under the same options yields the same cells.
+//!
 //! ```
 //! use rt_io::{read_instance, CsvOptions};
 //! use rt_relation::ColumnType;
@@ -44,8 +48,10 @@
 
 pub mod error;
 pub mod record;
+mod write;
 
 pub use error::IoError;
+pub use write::{write_instance, write_instance_to_path};
 
 use record::RecordReader;
 use rt_relation::{ChunkBuffer, ColumnType, Instance, Schema};

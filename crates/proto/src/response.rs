@@ -381,7 +381,6 @@ pub fn encode_engine_stats(stats: &EngineStats) -> JsonValue {
             "heuristic_cache_entries",
             num(stats.heuristic_cache_entries),
         ),
-        ("dominance_pruned", num(stats.dominance_pruned)),
         (
             "search_elapsed_ns",
             u64_str(stats.search_elapsed.as_nanos() as u64),
@@ -412,7 +411,6 @@ pub fn decode_engine_stats(v: &JsonValue) -> Result<EngineStats, String> {
         heuristic_nodes: usize_field(v, "heuristic_nodes")?,
         heuristic_cache_hits: usize_field(v, "heuristic_cache_hits")?,
         heuristic_cache_entries: usize_field(v, "heuristic_cache_entries")?,
-        dominance_pruned: usize_field(v, "dominance_pruned")?,
         search_elapsed: Duration::from_nanos(u64_field(v, "search_elapsed_ns")?),
         truncated: bool_field(v, "truncated")?,
         mutation_batches: usize_field(v, "mutation_batches")?,

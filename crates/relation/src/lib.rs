@@ -26,7 +26,6 @@
 //!   [`EncodedLoader`] behind `Instance::encoded_loader`, which parses raw
 //!   text fields **directly into dictionary codes** so bulk loads never
 //!   build per-cell `Value` probe keys (the `rt-io` CSV reader drives it).
-//! * [`csv`] — minimal untyped CSV reading/writing used by the examples.
 //!
 //! The crate is deliberately free of any constraint logic; functional
 //! dependencies, violation detection and conflict graphs live in
@@ -51,7 +50,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod csv;
 pub mod dict;
 pub mod error;
 pub mod instance;

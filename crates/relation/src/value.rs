@@ -184,10 +184,10 @@ impl Value {
     /// Parses a raw CSV field into a value: empty string becomes `Null`,
     /// an integer literal becomes `Int`, anything else `Str`.
     ///
-    /// This is the *untyped* legacy parse used by [`crate::csv`]; it never
-    /// produces [`Value::Float`] (a float literal stays `Str`). The typed
-    /// ingestion layer (`rt-io`) infers column types instead and parses
-    /// floats explicitly.
+    /// This is an *untyped* parse for hand-written rows; it never produces
+    /// [`Value::Float`] (a float literal stays `Str`). The typed ingestion
+    /// layer (`rt-io`) infers column types instead and parses floats
+    /// explicitly.
     pub fn parse(field: &str) -> Self {
         let trimmed = field.trim();
         if trimmed.is_empty() {

@@ -228,23 +228,10 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     })
 }
 
-/// Maps a failure from the legacy CSV writer onto the right `EngineError`
-/// variant: file-access problems become `Io` (with the path), parse
-/// problems keep their structured `Relation` form.
-fn file_error(path: &str, e: RelationError) -> EngineError {
-    match e {
-        RelationError::Io(message) => EngineError::Io {
-            path: path.to_string(),
-            message,
-        },
-        other => EngineError::Relation(other),
-    }
-}
-
-/// Maps a typed-ingestion failure onto the engine boundary: access
+/// Maps a CSV read or write failure onto the engine boundary: access
 /// problems become `Io`, syntax/typing problems become `Parse` (with the
 /// line number), substrate problems stay `Relation`.
-fn load_error(path: &str, e: IoError) -> EngineError {
+fn csv_error(path: &str, e: IoError) -> EngineError {
     match e {
         IoError::Io(message) => EngineError::Io {
             path: path.to_string(),
@@ -268,7 +255,7 @@ fn load_input(path: &str, tsv: bool) -> Result<relative_trust::io::LoadReport, E
         CsvOptions::csv()
     };
     let report = relative_trust::io::load_path(path, &base.relation("input"))
-        .map_err(|e| load_error(path, e))?;
+        .map_err(|e| csv_error(path, e))?;
     let types: Vec<String> = report
         .instance
         .schema()
@@ -384,11 +371,12 @@ fn report_results(
                 println!("    ... and {} more", repair.changed_cells.len() - 25);
             }
             if let Some(path) = output {
-                relative_trust::relation::csv::write_instance_to_path(
+                relative_trust::io::write_instance_to_path(
                     &repair.repaired_instance,
                     path,
+                    &CsvOptions::csv(),
                 )
-                .map_err(|e| file_error(path, e))?;
+                .map_err(|e| csv_error(path, e))?;
                 println!("repaired instance written to {path}");
             }
         }
@@ -1686,8 +1674,7 @@ mod tests {
             },
         };
         run(&options).unwrap();
-        let repaired =
-            relative_trust::relation::csv::read_instance_from_path("out", &output).unwrap();
+        let repaired = Instance::from_csv(&output, &CsvOptions::csv()).unwrap();
         assert_eq!(repaired.len(), 3);
         std::fs::remove_file(&input).ok();
         std::fs::remove_file(&output).ok();

@@ -17,7 +17,8 @@
 //! * [`relation`] — schemas, tuples, instances and V-instances;
 //! * [`io`] — typed, streaming CSV/TSV ingestion that parses directly into
 //!   dictionary codes (`rt_io::load_path`, `Instance::from_csv` via
-//!   [`prelude::InstanceCsvExt`]);
+//!   [`prelude::InstanceCsvExt`]), and its inverse, the CSV/TSV writer
+//!   (`rt_io::write_instance`);
 //! * [`scenarios`] — the catalog of named, seeded end-to-end workloads
 //!   behind `rtclean scenario <name>`;
 //! * [`par`] — the parallel execution layer: the [`prelude::Parallelism`]

@@ -220,9 +220,12 @@ fn csv_round_trip_feeds_the_repair_pipeline() {
     // Write the employee example to CSV, read it back, repair it.
     let (instance, fds) = employee_example();
     let mut buf = Vec::new();
-    relative_trust::relation::csv::write_instance(&instance, &mut buf).unwrap();
-    let reread = relative_trust::relation::csv::read_instance("Persons", buf.as_slice()).unwrap();
-    assert_eq!(reread.len(), instance.len());
+    let options = CsvOptions::csv().relation("Persons");
+    relative_trust::io::write_instance(&instance, &mut buf, &options).unwrap();
+    let reread = relative_trust::io::read_instance(buf.as_slice(), &options)
+        .unwrap()
+        .instance;
+    assert_eq!(reread, instance);
 
     let engine = RepairEngine::new(reread, fds).unwrap();
     let repair = engine.repair_at(engine.delta_p_original()).unwrap();

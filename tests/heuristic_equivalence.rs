@@ -1,5 +1,4 @@
-//! The heuristic oracle suite: memoization and dominance pruning are pure
-//! accelerations.
+//! The heuristic oracle suite: memoization is a pure acceleration.
 //!
 //! Three contracts, mirroring the incremental ≡ rebuild loop of
 //! `tests/incremental.rs`:
@@ -9,8 +8,8 @@
 //!    [`goal_cost_estimate`] bit-for-bit on every state of a traversal
 //!    sample, at every `τ` — including repeat queries served from the cache
 //!    and descending-`τ` queries derived from a recorded run.
-//! 2. **Sweeps are knob-independent**: full spectra with the cache on/off
-//!    and dominance pruning on/off are [`Spectrum::bit_identical`].
+//! 2. **Sweeps are cache-independent**: full spectra with the cache on and
+//!    off are [`Spectrum::bit_identical`].
 //! 3. **Admissibility on random problems**: against an exhaustive
 //!    goal-enumeration oracle on ≤ 6-row instances, `gc(S)` never exceeds
 //!    the true cheapest goal descendant and never prunes a state that still
@@ -149,7 +148,6 @@ fn engine_with(
     weight: WeightKind,
     seed: u64,
     cache: bool,
-    dominance: bool,
 ) -> RepairEngine {
     RepairEngine::builder(instance.clone(), fds.clone())
         .weight(weight)
@@ -157,16 +155,15 @@ fn engine_with(
         .max_expansions(100_000)
         .seed(seed)
         .heuristic_cache(cache)
-        .dominance_pruning(dominance)
         .build()
         .unwrap()
 }
 
-/// Contract 2: full sweeps across the cache × dominance knob grid are
-/// bit-identical — the accelerations change how much work the sweep does,
-/// never what it records.
+/// Contract 2: full sweeps with the heuristic cache on and off are
+/// bit-identical — the cache changes how much work the sweep does, never
+/// what it records.
 #[test]
-fn sweeps_are_bit_identical_across_cache_and_dominance_knobs() {
+fn sweeps_are_bit_identical_with_cache_on_and_off() {
     for case in 0..48u64 {
         let mut rng = StdRng::seed_from_u64(0x5EE7 + case);
         let instance = random_instance(&mut rng, 14);
@@ -174,18 +171,16 @@ fn sweeps_are_bit_identical_across_cache_and_dominance_knobs() {
         let weight = WEIGHTS[(case % 3) as usize];
         let context = format!("case {case} ({weight:?})");
 
-        let reference = engine_with(&instance, &fds, weight, case, true, false)
+        let cached = engine_with(&instance, &fds, weight, case, true)
             .spectrum()
             .unwrap_or_else(|e| panic!("{context}: {e}"));
-        for (cache, dominance) in [(false, false), (false, true), (true, true)] {
-            let spectrum = engine_with(&instance, &fds, weight, case, cache, dominance)
-                .spectrum()
-                .unwrap_or_else(|e| panic!("{context}: {e}"));
-            assert!(
-                reference.bit_identical(&spectrum),
-                "{context}: cache={cache} dominance={dominance} changed the spectrum"
-            );
-        }
+        let uncached = engine_with(&instance, &fds, weight, case, false)
+            .spectrum()
+            .unwrap_or_else(|e| panic!("{context}: {e}"));
+        assert!(
+            cached.bit_identical(&uncached),
+            "{context}: the heuristic cache changed the spectrum"
+        );
     }
 }
 

@@ -172,10 +172,21 @@ fn wrong_magic_and_version_fail_typed() {
     let err = RepairEngine::restore(&wrong_magic).unwrap_err();
     assert!(err.to_string().contains("magic"), "got {err}");
 
-    let mut wrong_version = bytes;
+    let mut wrong_version = bytes.clone();
     wrong_version[8] = 0xFF;
     let err = RepairEngine::restore(&wrong_version).unwrap_err();
     assert!(err.to_string().contains("version"), "got {err}");
+
+    // A version-2 header: the layout before the CONFIG flag and the stats
+    // counter of the retired child pruning were dropped.
+    let mut version_2 = bytes;
+    version_2[8..12].copy_from_slice(&2u32.to_le_bytes());
+    let err = RepairEngine::restore(&version_2).unwrap_err();
+    assert!(matches!(err, EngineError::Snapshot(_)), "got {err}");
+    assert!(
+        err.to_string().contains("unsupported snapshot version 2"),
+        "got {err}"
+    );
 
     let err = RepairEngine::restore(b"").unwrap_err();
     assert!(matches!(err, EngineError::Snapshot(_)));
