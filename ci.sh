@@ -58,6 +58,13 @@ cargo test -q --test recovery
 echo "==> cargo test --release --test shard_equivalence (sharded ≡ monolithic, 100k warehouse)"
 RT_WAREHOUSE_ROWS=100000 cargo test -q --release --test shard_equivalence
 
+# The parallel layer's identity check on a generated workload: every
+# parallel stage (graph build, vertex cover, Algorithm 4, τ sweep) is run
+# serial and with 2 threads, and `exp` exits non-zero unless each pair of
+# outputs is identical. About 2 s in release at smoke scale.
+echo "==> exp par_speedup --scale smoke --threads 2 (serial ≡ parallel, stage by stage)"
+cargo run --release -q -p rt-bench --bin exp -- par_speedup --scale smoke --threads 2
+
 # perfbench is a package of its own (not a workspace member), so the sweep
 # above never builds it. Its tests compile it against the layer crates'
 # public APIs: a layer API change that breaks the benchmark fails here,

@@ -1,6 +1,6 @@
 //! Experiment drivers — one function per table/figure of the paper.
 //!
-//! Every driver returns plain serializable rows so the `exp_*` binaries can
+//! Every driver returns plain serializable rows so the `exp` binary can
 //! print them as tables and dump them as JSON.
 
 use crate::workloads::{Scale, Workload, WorkloadSpec};

@@ -5,19 +5,24 @@
 //! work-counter regression gate CI runs against `ci/bench_baseline.json`.
 //!
 //! Each experiment lives in [`experiments`] as a plain function returning a
-//! vector of result rows; the `exp_*` binaries print those rows as a table
-//! (mirroring the series the paper plots) and also dump them as JSON under
-//! `target/experiments/` so `EXPERIMENTS.md` can quote them.
+//! vector of result rows; the `exp` binary runs one of them by name
+//! (`exp <name> [--scale smoke|default|paper]`), prints its rows as a table
+//! (mirroring the series the paper plots) and writes them as JSON to
+//! `target/experiments/<report>.json`.
 //!
-//! | Paper artefact | Function | Binary |
-//! |---|---|---|
-//! | Figure 7 (quality vs. relative trust) | [`experiments::quality_vs_trust`] | `exp_quality_vs_trust` |
-//! | Figure 8 (vs. unified-cost repair) | [`experiments::versus_unified_cost`] | `exp_vs_unified_cost` |
-//! | Figure 9 (scalability in tuples) | [`experiments::scalability_tuples`] | `exp_scal_tuples` |
-//! | Figure 10 (scalability in attributes) | [`experiments::scalability_attributes`] | `exp_scal_attrs` |
-//! | Figure 11 (scalability in FDs) | [`experiments::scalability_fds`] | `exp_scal_fds` |
-//! | Figure 12 (effect of τ) | [`experiments::effect_of_tau`] | `exp_effect_tau` |
-//! | Figure 13 (multiple repairs) | [`experiments::multi_repair_comparison`] | `exp_multi_repairs` |
+//! | Paper artefact | Function | `exp` name | JSON report |
+//! |---|---|---|---|
+//! | Figure 7 (quality vs. relative trust) | [`experiments::quality_vs_trust`] | `quality_vs_trust` | `figure7_quality_vs_trust` |
+//! | Figure 8 (vs. unified-cost repair) | [`experiments::versus_unified_cost`] | `vs_unified_cost` | `figure8_vs_unified_cost` |
+//! | Figure 9 (scalability in tuples) | [`experiments::scalability_tuples`] | `scal_tuples` | `figure9_scalability_tuples` |
+//! | Figure 10 (scalability in attributes) | [`experiments::scalability_attributes`] | `scal_attrs` | `figure10_scalability_attributes` |
+//! | Figure 11 (scalability in FDs) | [`experiments::scalability_fds`] | `scal_fds` | `figure11_scalability_fds` |
+//! | Figure 12 (effect of τ) | [`experiments::effect_of_tau`] | `effect_tau` | `figure12_effect_of_tau` |
+//! | Figure 13 (multiple repairs) | [`experiments::multi_repair_comparison`] | `multi_repairs` | `figure13_multi_repairs` |
+//!
+//! `exp par_speedup [--threads auto|serial|N]` is no paper figure: it times
+//! each parallel stage against the serial path and exits non-zero unless
+//! their outputs are identical (report `parallel_speedup`).
 //!
 //! The default workload sizes are scaled down from the paper's (which used a
 //! 300k-tuple Census extract on 2012-era server hardware) so that the whole

@@ -65,16 +65,6 @@ where
     Some(path)
 }
 
-/// Formats a float with 3 decimal places (quality scores).
-pub fn fmt_score(v: f64) -> String {
-    format!("{v:.3}")
-}
-
-/// Formats a duration in seconds with 3 decimal places.
-pub fn fmt_secs(secs: f64) -> String {
-    format!("{secs:.3}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,11 +96,5 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("0.5"));
         std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn formatting_helpers() {
-        assert_eq!(fmt_score(0.12345), "0.123");
-        assert_eq!(fmt_secs(1.5), "1.500");
     }
 }

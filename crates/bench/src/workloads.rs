@@ -10,7 +10,7 @@ use rt_relation::Instance;
 pub enum Scale {
     /// A few seconds per experiment; used by tests and CI.
     Smoke,
-    /// Minutes for the whole suite; the default for the `exp_*` binaries.
+    /// Minutes for the whole suite; the default of the `exp` binary.
     Default,
     /// Paper-sized workloads (tens of minutes to hours on laptop hardware).
     Paper,

@@ -12,6 +12,8 @@
 //!   never rebuilt, or
 //! * builds and repairs a named workload from the scenario catalog
 //!   (`scenario`), or
+//! * writes the prepared engine to a snapshot file (`snapshot`) and
+//!   answers repair queries from one (`restore`), or
 //! * hosts repair sessions as a service (`serve`) / drives one
 //!   interactively (`connect`).
 //!
@@ -47,48 +49,33 @@ fn take_value(args: &[String], i: &mut usize) -> Result<String, String> {
         .ok_or_else(|| format!("missing value after `{flag}`"))
 }
 
+/// [`take_value`], parsed as a number.
+fn take_number<T: std::str::FromStr>(args: &[String], i: &mut usize) -> Result<T, String> {
+    let flag = args[*i].clone();
+    let v = take_value(args, i)?;
+    v.parse().map_err(|_| format!("invalid {flag} value `{v}`"))
+}
+
 /// Tries to consume `args[*i]` as one of the repair-selection options
-/// shared by the CSV and scenario front ends
-/// (`--tau`, `--tau-r`, `--spectrum`, `--output`).
+/// (`--tau`, `--tau-r`, `--spectrum`, `--output`), shared by the command
+/// line and the `connect` REPL.
 fn consume_mode_option(
     args: &[String],
     i: &mut usize,
-    mode: &mut Option<Mode>,
+    mode: &mut Mode,
     output: &mut Option<String>,
 ) -> Result<bool, String> {
     match args[*i].as_str() {
-        "--tau" => {
-            let v = take_value(args, i)?;
-            let n = v
-                .parse::<usize>()
-                .map_err(|_| format!("invalid --tau value `{v}`"))?;
-            *mode = Some(Mode::Repair(TauSpec::Absolute(n)));
-        }
+        "--tau" => *mode = Mode::Repair(TauSpec::Absolute(take_number(args, i)?)),
         "--tau-r" => {
-            let v = take_value(args, i)?;
-            let f = v
-                .parse::<f64>()
-                .map_err(|_| format!("invalid --tau-r value `{v}`"))?;
-            *mode = Some(Mode::Repair(
-                TauSpec::relative(f).map_err(|e| format!("--tau-r: {e}"))?,
-            ));
+            let f = take_number(args, i)?;
+            *mode = Mode::Repair(TauSpec::relative(f).map_err(|e| format!("--tau-r: {e}"))?);
         }
-        "--spectrum" => *mode = Some(Mode::Spectrum),
+        "--spectrum" => *mode = Mode::Spectrum,
         "--output" => *output = Some(take_value(args, i)?),
         _ => return Ok(false),
     }
     Ok(true)
-}
-
-/// Parsed command-line options.
-#[derive(Debug, Clone, PartialEq)]
-struct Options {
-    input: String,
-    fd_specs: Vec<String>,
-    mode: Mode,
-    output: Option<String>,
-    tsv: bool,
-    engine: EngineOpts,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -98,6 +85,189 @@ enum Mode {
     Repair(TauSpec),
     /// Enumerate the full spectrum of repairs.
     Spectrum,
+}
+
+/// The subcommand a command line names; the main form is [`Command::Run`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Command {
+    Run,
+    Apply,
+    Scenario,
+    Snapshot,
+    Restore,
+    Serve,
+    Connect,
+}
+
+impl Command {
+    /// Splits the subcommand word off the front of the command line.
+    fn split(argv: &[String]) -> (Command, &[String]) {
+        let command = match argv.first().map(String::as_str) {
+            Some("apply") => Command::Apply,
+            Some("scenario") => Command::Scenario,
+            Some("snapshot") => Command::Snapshot,
+            Some("restore") => Command::Restore,
+            Some("serve") => Command::Serve,
+            Some("connect") => Command::Connect,
+            _ => return (Command::Run, argv),
+        };
+        (command, &argv[1..])
+    }
+
+    /// Whether this subcommand takes `flag`. Every other flag is an
+    /// unknown option, rejected before any value is parsed.
+    fn accepts(self, flag: &str) -> bool {
+        const ENGINE: &str = "--weight --seed --max-expansions --threads --shard-rows";
+        const MODE: &str = "--tau --tau-r --spectrum --output";
+        const LOAD: &str = "--fd --tsv";
+        let groups: &[&str] = match self {
+            Command::Run => &[ENGINE, MODE, LOAD],
+            Command::Apply => &[ENGINE, LOAD, "--log --per-op --batch --verify"],
+            Command::Scenario => &[ENGINE, MODE, "--rows"],
+            Command::Snapshot => &[ENGINE, LOAD, "--output"],
+            Command::Restore => &[MODE],
+            Command::Serve => &["--listen --unix --max-sessions --max-cells --idle-ops \
+                                 --max-connections --data-dir --wal-sync"],
+            Command::Connect => &[],
+        };
+        groups
+            .iter()
+            .any(|group| group.split_whitespace().any(|f| f == flag))
+    }
+
+    /// The usage error for an argument this subcommand does not take.
+    fn reject(self, arg: &str, positional: bool) -> Usage {
+        Usage::Error(match self {
+            Command::Serve => format!("unknown serve option `{arg}`"),
+            Command::Connect => "usage: rtclean connect [<host:port> | unix:<path>]".to_string(),
+            _ if positional => format!("unexpected positional argument `{arg}`"),
+            _ => format!("unknown option `{arg}`"),
+        })
+    }
+}
+
+/// A command line that is not run.
+#[derive(Debug, PartialEq)]
+enum Usage {
+    /// `--help`: the usage text on stdout, exit 0.
+    Help,
+    /// A bad command line: the message on stderr, exit 1.
+    Error(String),
+}
+
+impl From<String> for Usage {
+    fn from(message: String) -> Usage {
+        Usage::Error(message)
+    }
+}
+
+/// The parsed command line of every subcommand.
+#[derive(Debug, PartialEq)]
+struct Args {
+    command: Command,
+    /// The positional argument: input file, scenario name, snapshot file
+    /// or `connect` target.
+    input: String,
+    fd_specs: Vec<String>,
+    mode: Mode,
+    /// Repaired CSV (single-repair modes) or snapshot file (`snapshot`).
+    output: Option<String>,
+    tsv: bool,
+    /// Scenario size override.
+    rows: Option<usize>,
+    /// `apply`: the JSON mutation log to replay.
+    log: Option<String>,
+    /// `apply`: one engine batch per log entry (streaming replay) vs one
+    /// atomic batch for the whole log.
+    per_op: bool,
+    /// `apply`: compare against a freshly built engine afterwards.
+    verify: bool,
+    /// Engine options. The seed doubles as the scenario seed (generation
+    /// + injection), so one `--seed` controls a whole scenario run.
+    engine: EngineOpts,
+    listen: String,
+    unix: Option<String>,
+    server: ServerConfig,
+}
+
+/// The one parser of every subcommand's command line.
+fn parse(argv: &[String]) -> Result<Args, Usage> {
+    let (command, argv) = Command::split(argv);
+    let mut a = Args {
+        command,
+        input: String::new(),
+        fd_specs: Vec::new(),
+        mode: Mode::Spectrum,
+        output: None,
+        tsv: false,
+        rows: None,
+        log: None,
+        per_op: true,
+        verify: false,
+        engine: EngineOpts::new(if command == Command::Scenario { 17 } else { 0 }),
+        listen: "127.0.0.1:7171".to_string(),
+        unix: None,
+        server: ServerConfig::default(),
+    };
+    let mut input = None;
+    let mut i = 0;
+    while i < argv.len() {
+        let arg = argv[i].as_str();
+        if arg == "--help" || arg == "-h" {
+            return Err(Usage::Help);
+        }
+        if !arg.starts_with("--") {
+            if input.is_some() || command == Command::Serve {
+                return Err(command.reject(arg, true));
+            }
+            input = Some(arg.to_string());
+        } else if !command.accepts(arg) {
+            return Err(command.reject(arg, false));
+        } else if !(a.engine.consume_flag(argv, &mut i)?
+            || consume_mode_option(argv, &mut i, &mut a.mode, &mut a.output)?)
+        {
+            match arg {
+                "--fd" => a.fd_specs.push(take_value(argv, &mut i)?),
+                "--tsv" => a.tsv = true,
+                "--rows" => a.rows = Some(take_number(argv, &mut i)?),
+                "--log" => a.log = Some(take_value(argv, &mut i)?),
+                "--per-op" => a.per_op = true,
+                "--batch" => a.per_op = false,
+                "--verify" => a.verify = true,
+                "--listen" => a.listen = take_value(argv, &mut i)?,
+                "--unix" => a.unix = Some(take_value(argv, &mut i)?),
+                "--max-sessions" => a.server.max_sessions = take_number(argv, &mut i)?,
+                "--max-cells" => a.server.max_session_cells = take_number(argv, &mut i)?,
+                "--idle-ops" => a.server.idle_ops = take_number(argv, &mut i)?,
+                "--max-connections" => a.server.max_connections = take_number(argv, &mut i)?,
+                "--data-dir" => a.server.data_dir = Some(take_value(argv, &mut i)?.into()),
+                "--wal-sync" => a.server.wal_sync = true,
+                other => unreachable!("`{other}` is accepted but not parsed"),
+            }
+        }
+        i += 1;
+    }
+
+    a.input = match (input, command) {
+        (Some(input), _) => input,
+        (None, Command::Connect) => "127.0.0.1:7171".to_string(),
+        (None, Command::Serve) => String::new(),
+        (None, _) => return Err(Usage::Error(USAGE.to_string())),
+    };
+    let loads_csv = matches!(command, Command::Run | Command::Apply | Command::Snapshot);
+    let problem = match command {
+        _ if loads_csv && a.fd_specs.is_empty() => "at least one --fd is required",
+        Command::Apply if a.log.is_none() => "apply requires --log <mutations.json>",
+        Command::Snapshot if a.output.is_none() => "snapshot requires --output <file.snap>",
+        Command::Run | Command::Scenario | Command::Restore
+            if a.mode == Mode::Spectrum && a.output.is_some() =>
+        {
+            "--output writes one repair: choose it with --tau <N> or --tau-r <F> \
+             (the spectrum is only printed)"
+        }
+        _ => return Ok(a),
+    };
+    Err(Usage::Error(problem.to_string()))
 }
 
 const USAGE: &str = "\
@@ -183,51 +353,6 @@ options:
   --help               print this help
 ";
 
-fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut input: Option<String> = None;
-    let mut fd_specs = Vec::new();
-    let mut mode: Option<Mode> = None;
-    let mut output = None;
-    let mut tsv = false;
-    let mut engine = EngineOpts::new(0);
-
-    let mut i = 0;
-    while i < args.len() {
-        if engine.consume_flag(args, &mut i)?
-            || consume_mode_option(args, &mut i, &mut mode, &mut output)?
-        {
-            i += 1;
-            continue;
-        }
-        match args[i].as_str() {
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            "--fd" => fd_specs.push(take_value(args, &mut i)?),
-            "--tsv" => tsv = true,
-            other if other.starts_with("--") => return Err(format!("unknown option `{other}`")),
-            other => {
-                if input.is_some() {
-                    return Err(format!("unexpected positional argument `{other}`"));
-                }
-                input = Some(other.to_string());
-            }
-        }
-        i += 1;
-    }
-
-    let input = input.ok_or_else(|| USAGE.to_string())?;
-    if fd_specs.is_empty() {
-        return Err("at least one --fd is required".to_string());
-    }
-    Ok(Options {
-        input,
-        fd_specs,
-        mode: mode.unwrap_or(Mode::Spectrum),
-        output,
-        tsv,
-        engine,
-    })
-}
-
 /// Maps a CSV read or write failure onto the engine boundary: access
 /// problems become `Io`, syntax/typing problems become `Parse` (with the
 /// line number), substrate problems stay `Relation`.
@@ -248,7 +373,7 @@ fn csv_error(path: &str, e: IoError) -> EngineError {
 
 /// Loads the input through the typed ingestion layer (inferred column
 /// types, dictionary-direct encoding) and reports what was inferred.
-fn load_input(path: &str, tsv: bool) -> Result<relative_trust::io::LoadReport, EngineError> {
+fn load_input(path: &str, tsv: bool) -> Result<Instance, EngineError> {
     let base = if tsv {
         CsvOptions::tsv()
     } else {
@@ -270,68 +395,119 @@ fn load_input(path: &str, tsv: bool) -> Result<relative_trust::io::LoadReport, E
         report.null_cells,
     );
     println!("inferred column types: {}", types.join(", "));
-    Ok(report)
+    Ok(report.instance)
 }
 
-fn run(options: &Options) -> Result<(), EngineError> {
-    // File I/O and CSV parsing surface as typed `EngineError`s, never as
-    // panics: bad user input exits non-zero with a one-line message.
-    let instance = load_input(&options.input, options.tsv)?.instance;
-    let schema = instance.schema().clone();
-    let specs: Vec<&str> = options.fd_specs.iter().map(String::as_str).collect();
-    let fds = FdSet::parse(&specs, &schema).map_err(EngineError::Fd)?;
-    println!("FDs: {}", fds.display_with(&schema));
-    if fds.holds_on(&instance) {
-        println!("the data already satisfies the FDs — nothing to repair");
+/// The one load step of every offline subcommand: CSV + `--fd` specs, a
+/// catalog scenario, or a snapshot file, built into an engine. There is
+/// no pre-check that the FDs already hold: a clean input simply yields
+/// the one zero-change repair.
+fn open(args: &Args) -> Result<RepairEngine, EngineError> {
+    let (instance, fds) = match args.command {
+        Command::Restore => {
+            let bytes = std::fs::read(&args.input).map_err(|e| EngineError::io(&args.input, e))?;
+            return RepairEngine::restore(&bytes);
+        }
+        Command::Scenario => {
+            let config = ScenarioConfig {
+                seed: args.engine.seed,
+                rows: args.rows,
+            };
+            let scenario = relative_trust::scenarios::build(&args.input, &config)
+                .map_err(EngineError::InvalidConfig)?;
+            let schema = scenario.dirty.schema();
+            println!("scenario `{}`: {}", scenario.name, scenario.description);
+            println!(
+                "  {} tuples × {} attributes (seed {})",
+                scenario.dirty.len(),
+                schema.arity(),
+                config.seed
+            );
+            println!("  FDs: {}", scenario.dirty_fds.display_with(schema));
+            let r = &scenario.report;
+            println!(
+                "  injected errors: {} typos, {} swaps, {} corruptions, {} FD attrs dropped",
+                r.typos, r.swaps, r.corruptions, r.fd_attrs_dropped
+            );
+            (scenario.dirty, scenario.dirty_fds)
+        }
+        _ => {
+            let instance = load_input(&args.input, args.tsv)?;
+            let specs: Vec<&str> = args.fd_specs.iter().map(String::as_str).collect();
+            let fds = FdSet::parse(&specs, instance.schema()).map_err(EngineError::Fd)?;
+            (instance, fds)
+        }
+    };
+    args.engine
+        .configure(RepairEngine::builder(instance, fds))
+        .build()
+}
+
+/// Runs an offline subcommand: everything but `serve` and `connect`.
+fn run(args: &Args) -> Result<(), EngineError> {
+    if args.command == Command::Scenario && args.input == "list" {
+        println!("available scenarios:");
+        for info in relative_trust::scenarios::catalog() {
+            println!("  {:<10} {}", info.name, info.description);
+        }
+        println!("\nrun one with: rtclean scenario <name> [--seed N] [--rows N]");
         return Ok(());
     }
+    let engine = open(args)?;
+    let problem = engine.problem();
+    let schema = problem.instance().schema();
+    let edges = problem.conflict_graph().edge_count();
+    match args.command {
+        Command::Apply => return replay(args, engine),
+        Command::Snapshot => {
+            let blob = engine.snapshot()?;
+            let path = args.output.as_deref().expect("parse requires --output");
+            std::fs::write(path, &blob).map_err(|e| EngineError::io(path, e))?;
+            println!(
+                "snapshot: {} bytes ({} tuples, {} FDs, {edges} conflict edges) written to {path}",
+                blob.len(),
+                problem.instance().len(),
+                problem.fd_count(),
+            );
+            println!("restore it with: rtclean restore {path}");
+            return Ok(());
+        }
+        Command::Scenario => println!(
+            "  {edges} conflicting tuple pairs; δP reference {}\n",
+            engine.delta_p_original()
+        ),
+        Command::Restore => {
+            println!(
+                "restored {} tuples × {} attributes, {} FDs, {edges} conflict edges from {}",
+                problem.instance().len(),
+                schema.arity(),
+                problem.fd_count(),
+                args.input,
+            );
+            println!(
+                "prepared state came back warm: conflict graph builds since restore = {}\n",
+                engine.stats().conflict_graph_builds
+            );
+        }
+        _ => {
+            println!("FDs: {}", problem.sigma().display_with(schema));
+            println!(
+                "{edges} conflicting tuple pairs; repairing everything by cell changes would \
+                 touch at most {} cells\n",
+                engine.delta_p_original()
+            );
+        }
+    }
 
-    let engine = options
-        .engine
-        .configure(RepairEngine::builder(instance.clone(), fds))
-        .build()?;
     let budget = engine.delta_p_original();
-    println!(
-        "{} conflicting tuple pairs; repairing everything by cell changes would \
-         touch at most {budget} cells\n",
-        engine.problem().conflict_graph().edge_count()
-    );
-
-    report_results(
-        &engine,
-        &instance,
-        &schema,
-        options.mode,
-        options.output.as_deref(),
-    )
-}
-
-/// Shared reporting tail of the CSV and scenario front ends: the lazy
-/// spectrum sweep, or one materialized repair (optionally written out).
-fn report_results(
-    engine: &RepairEngine,
-    instance: &Instance,
-    schema: &Schema,
-    mode: Mode,
-    output: Option<&str>,
-) -> Result<(), EngineError> {
-    let budget = engine.delta_p_original();
-    match mode {
+    match args.mode {
         Mode::Spectrum => {
             // The sweep is lazy: each repair is materialized as it is
             // printed, off one shared Range-Repair traversal.
             let mut count = 0usize;
             for point in engine.sweep(0..=budget) {
-                let point = point?;
                 count += 1;
-                println!(
-                    "  τ ∈ [{:>4}, {:>4}]  FD cost {:>10.1}  cell changes {:>5}   {}",
-                    point.tau_range.0,
-                    point.tau_range.1,
-                    point.repair.dist_c,
-                    point.repair.data_changes(),
-                    point.repair.modified_fds.display_with(schema)
-                );
+                println!("{}", point_line(&point?, Some(schema)));
             }
             println!("{count} non-dominated repairs.");
             println!(
@@ -344,33 +520,11 @@ fn report_results(
                 TauSpec::Relative(f) => engine.absolute_tau(f),
             };
             let repair = engine.repair_at(tau)?;
-            println!("repair for τ = {tau}:");
             println!(
-                "  modified FDs : {}",
-                repair.modified_fds.display_with(schema)
+                "{}",
+                repair_text(&repair, Some(schema), Some(problem.instance()))
             );
-            println!("  FD distance  : {:.1}", repair.dist_c);
-            println!("  cell changes : {}", repair.data_changes());
-            for cell in repair.changed_cells.iter().take(25) {
-                println!(
-                    "    row {} [{}]: {} -> {}",
-                    cell.row,
-                    schema.attr_name(cell.attr).unwrap_or("?"),
-                    instance
-                        .cell(*cell)
-                        .map(|v| v.to_string())
-                        .unwrap_or_default(),
-                    repair
-                        .repaired_instance
-                        .cell(*cell)
-                        .map(|v| v.to_string())
-                        .unwrap_or_default()
-                );
-            }
-            if repair.changed_cells.len() > 25 {
-                println!("    ... and {} more", repair.changed_cells.len() - 25);
-            }
-            if let Some(path) = output {
+            if let Some(path) = &args.output {
                 relative_trust::io::write_instance_to_path(
                     &repair.repaired_instance,
                     path,
@@ -384,133 +538,44 @@ fn report_results(
     Ok(())
 }
 
-/// Options of the `apply` subcommand.
-#[derive(Debug, Clone, PartialEq)]
-struct ApplyOptions {
-    input: String,
-    fd_specs: Vec<String>,
-    log: String,
-    tsv: bool,
-    /// One engine batch per log entry (streaming replay) vs one atomic
-    /// batch for the whole log.
-    per_op: bool,
-    verify: bool,
-    engine: EngineOpts,
-}
-
-fn parse_apply_args(args: &[String]) -> Result<ApplyOptions, String> {
-    let mut input: Option<String> = None;
-    let mut fd_specs = Vec::new();
-    let mut log: Option<String> = None;
-    let mut tsv = false;
-    let mut per_op = true;
-    let mut verify = false;
-    let mut engine = EngineOpts::new(0);
-
-    let mut i = 0;
-    while i < args.len() {
-        if engine.consume_flag(args, &mut i)? {
-            i += 1;
-            continue;
-        }
-        match args[i].as_str() {
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            "--fd" => fd_specs.push(take_value(args, &mut i)?),
-            "--log" => log = Some(take_value(args, &mut i)?),
-            "--tsv" => tsv = true,
-            "--per-op" => per_op = true,
-            "--batch" => per_op = false,
-            "--verify" => verify = true,
-            other if other.starts_with("--") => return Err(format!("unknown option `{other}`")),
-            other => {
-                if input.is_some() {
-                    return Err(format!("unexpected positional argument `{other}`"));
-                }
-                input = Some(other.to_string());
-            }
-        }
-        i += 1;
-    }
-
-    Ok(ApplyOptions {
-        input: input.ok_or_else(|| USAGE.to_string())?,
-        fd_specs: if fd_specs.is_empty() {
-            return Err("at least one --fd is required".to_string());
-        } else {
-            fd_specs
-        },
-        log: log.ok_or_else(|| "apply requires --log <mutations.json>".to_string())?,
-        tsv,
-        per_op,
-        verify,
-        engine,
-    })
-}
-
-fn run_apply(options: &ApplyOptions) -> Result<(), EngineError> {
-    let instance = load_input(&options.input, options.tsv)?.instance;
-    let schema = instance.schema().clone();
-    let specs: Vec<&str> = options.fd_specs.iter().map(String::as_str).collect();
-    let fds = FdSet::parse(&specs, &schema).map_err(EngineError::Fd)?;
-
-    let log_text =
-        std::fs::read_to_string(&options.log).map_err(|e| EngineError::io(&options.log, e))?;
-    let ops = relative_trust::engine::parse_mutation_log(&log_text, &schema)
+/// `apply`: replays the JSON mutation log against the live engine, then
+/// reports the session and its post-mutation spectrum.
+fn replay(args: &Args, mut engine: RepairEngine) -> Result<(), EngineError> {
+    let log = args.log.as_deref().expect("parse requires --log");
+    let text = std::fs::read_to_string(log).map_err(|e| EngineError::io(log, e))?;
+    let schema = engine.problem().instance().schema().clone();
+    let ops = relative_trust::engine::parse_mutation_log(&text, &schema)
         .map_err(EngineError::Mutation)?;
+    println!("{} log entries from {log}", ops.len());
 
-    println!("{} log entries from {}", ops.len(), options.log);
-
-    let mut engine = options
-        .engine
-        .configure(RepairEngine::builder(instance, fds))
-        .build()?;
-
-    if options.per_op {
+    if args.per_op {
         for (i, op) in ops.iter().enumerate() {
             let outcome = engine.apply(&MutationBatch::new().push(op.clone()))?;
-            let e = outcome.effect;
             println!(
-                "  op #{i:<3} rows +{}/-{}  cells ~{}  fds +{}/-{}  edges +{}/-{}  \
-                 components {}  sweep cache {}",
-                e.rows_inserted,
-                e.rows_deleted,
-                e.cells_updated,
-                e.fds_added,
-                e.fds_removed,
-                e.edges_added,
-                e.edges_removed,
-                e.components_dirtied,
-                if outcome.sweep_cache_retained {
-                    "kept"
-                } else {
-                    "reset"
-                }
+                "  op #{i:<3} {}  components {}  sweep cache {}",
+                effect_line(&outcome.effect),
+                outcome.effect.components_dirtied,
+                cache_text(outcome.sweep_cache_retained)
             );
         }
     } else {
-        let batch: MutationBatch = ops.iter().cloned().collect();
-        let outcome = engine.apply(&batch)?;
-        let e = outcome.effect;
+        let batch: MutationBatch = ops.into_iter().collect();
+        let effect = engine.apply(&batch)?.effect;
         println!(
-            "  batch of {}: rows +{}/-{}  cells ~{}  fds +{}/-{}  edges +{}/-{}  components {}",
+            "  batch of {}: {}  components {}",
             batch.len(),
-            e.rows_inserted,
-            e.rows_deleted,
-            e.cells_updated,
-            e.fds_added,
-            e.fds_removed,
-            e.edges_added,
-            e.edges_removed,
-            e.components_dirtied,
+            effect_line(&effect),
+            effect.components_dirtied
         );
     }
 
+    let problem = engine.problem();
     let stats = engine.stats();
     println!(
         "\nlive session after replay: {} tuples, {} FDs, {} conflict edges",
-        engine.problem().instance().len(),
-        engine.problem().fd_count(),
-        engine.problem().conflict_graph().edge_count()
+        problem.instance().len(),
+        problem.fd_count(),
+        problem.conflict_graph().edge_count()
     );
     println!(
         "  conflict graph builds : {} (rebuilds avoided: {})",
@@ -521,354 +586,144 @@ fn run_apply(options: &ApplyOptions) -> Result<(), EngineError> {
         stats.edges_added, stats.edges_removed, stats.components_dirtied
     );
 
-    let budget = engine.delta_p_original();
-    println!("\npost-mutation spectrum (δP reference {budget}):");
+    println!(
+        "\npost-mutation spectrum (δP reference {}):",
+        engine.delta_p_original()
+    );
     let spectrum = engine.spectrum()?;
     for point in &spectrum.points {
-        println!(
-            "  τ ∈ [{:>4}, {:>4}]  FD cost {:>10.1}  cell changes {:>5}   {}",
-            point.tau_range.0,
-            point.tau_range.1,
-            point.repair.dist_c,
-            point.repair.data_changes(),
-            point.repair.modified_fds.display_with(&schema)
-        );
+        println!("{}", point_line(point, Some(&schema)));
     }
 
-    if options.verify {
-        let fresh = options
+    if args.verify {
+        let fresh = args
             .engine
             .configure(RepairEngine::builder(
-                engine.problem().instance().clone(),
-                engine.problem().sigma().clone(),
+                problem.instance().clone(),
+                problem.sigma().clone(),
             ))
             .build()?;
-        let fresh_spectrum = fresh.spectrum()?;
-        if spectrum.bit_identical(&fresh_spectrum) {
-            println!(
-                "\nverify: OK — incremental session is bit-identical to a fresh rebuild \
-                 ({} spectrum points)",
-                spectrum.len()
-            );
-        } else {
+        if !spectrum.bit_identical(&fresh.spectrum()?) {
             return Err(EngineError::Mutation(
                 "verification failed: incremental session diverged from a fresh rebuild".into(),
             ));
         }
+        println!(
+            "\nverify: OK — incremental session is bit-identical to a fresh rebuild \
+             ({} spectrum points)",
+            spectrum.len()
+        );
     }
     Ok(())
 }
 
-/// Options of the `scenario` subcommand. The engine seed doubles as the
-/// scenario seed (generation + injection), so one `--seed` controls the
-/// whole run.
-#[derive(Debug, Clone, PartialEq)]
-struct ScenarioOptions {
-    name: String,
-    rows: Option<usize>,
-    mode: Mode,
-    output: Option<String>,
-    engine: EngineOpts,
+// Rendering: the command line and the REPL print results only through
+// these functions. The REPL knows the schema only once a session has
+// loaded data, so it is optional.
+
+/// `Σ'` with attribute names, or just its size without a schema.
+fn fds_text(fds: &FdSet, schema: Option<&Schema>) -> String {
+    match schema {
+        Some(schema) => fds.display_with(schema),
+        None => format!("{} FDs", fds.len()),
+    }
 }
 
-fn parse_scenario_args(args: &[String]) -> Result<ScenarioOptions, String> {
-    let mut name: Option<String> = None;
-    let mut rows: Option<usize> = None;
-    let mut mode: Option<Mode> = None;
-    let mut output = None;
-    let mut engine = EngineOpts::new(17);
-
-    let mut i = 0;
-    while i < args.len() {
-        if engine.consume_flag(args, &mut i)?
-            || consume_mode_option(args, &mut i, &mut mode, &mut output)?
-        {
-            i += 1;
-            continue;
-        }
-        match args[i].as_str() {
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            "--rows" => {
-                let v = take_value(args, &mut i)?;
-                rows = Some(
-                    v.parse()
-                        .map_err(|_| format!("invalid --rows value `{v}`"))?,
-                );
-            }
-            other if other.starts_with("--") => return Err(format!("unknown option `{other}`")),
-            other => {
-                if name.is_some() {
-                    return Err(format!("unexpected positional argument `{other}`"));
-                }
-                name = Some(other.to_string());
-            }
-        }
-        i += 1;
-    }
-
-    Ok(ScenarioOptions {
-        name: name.ok_or_else(|| USAGE.to_string())?,
-        rows,
-        mode: mode.unwrap_or(Mode::Spectrum),
-        output,
-        engine,
-    })
-}
-
-fn run_scenario(options: &ScenarioOptions) -> Result<(), EngineError> {
-    if options.name == "list" {
-        println!("available scenarios:");
-        for info in relative_trust::scenarios::catalog() {
-            println!("  {:<10} {}", info.name, info.description);
-        }
-        println!("\nrun one with: rtclean scenario <name> [--seed N] [--rows N]");
-        return Ok(());
-    }
-    let scenario = relative_trust::scenarios::build(
-        &options.name,
-        &ScenarioConfig {
-            seed: options.engine.seed,
-            rows: options.rows,
-        },
-    )
-    .map_err(EngineError::InvalidConfig)?;
-    let schema = scenario.dirty.schema().clone();
-    println!("scenario `{}`: {}", scenario.name, scenario.description);
-    println!(
-        "  {} tuples × {} attributes (seed {})",
-        scenario.dirty.len(),
-        schema.arity(),
-        options.engine.seed
-    );
-    println!("  FDs: {}", scenario.dirty_fds.display_with(&schema));
-    let r = &scenario.report;
-    println!(
-        "  injected errors: {} typos, {} swaps, {} corruptions, {} FD attrs dropped",
-        r.typos, r.swaps, r.corruptions, r.fd_attrs_dropped
-    );
-
-    let engine = options
-        .engine
-        .configure(RepairEngine::builder(
-            scenario.dirty.clone(),
-            scenario.dirty_fds.clone(),
-        ))
-        .build()?;
-    println!(
-        "  {} conflicting tuple pairs; δP reference {}\n",
-        engine.problem().conflict_graph().edge_count(),
-        engine.delta_p_original()
-    );
-    report_results(
-        &engine,
-        &scenario.dirty,
-        &schema,
-        options.mode,
-        options.output.as_deref(),
+/// One point of a spectrum.
+fn point_line(point: &RepairPoint, schema: Option<&Schema>) -> String {
+    format!(
+        "  τ ∈ [{:>4}, {:>4}]  FD cost {:>10.1}  cell changes {:>5}   {}",
+        point.tau_range.0,
+        point.tau_range.1,
+        point.repair.dist_c,
+        point.repair.data_changes(),
+        fds_text(&point.repair.modified_fds, schema)
     )
 }
 
-/// Options of the `snapshot` subcommand: the main form's load surface
-/// plus a mandatory snapshot destination.
-#[derive(Debug, Clone, PartialEq)]
-struct SnapshotOptions {
-    input: String,
-    fd_specs: Vec<String>,
-    output: String,
-    tsv: bool,
-    engine: EngineOpts,
-}
-
-fn parse_snapshot_args(args: &[String]) -> Result<SnapshotOptions, String> {
-    let mut input: Option<String> = None;
-    let mut fd_specs = Vec::new();
-    let mut output: Option<String> = None;
-    let mut tsv = false;
-    let mut engine = EngineOpts::new(0);
-
-    let mut i = 0;
-    while i < args.len() {
-        if engine.consume_flag(args, &mut i)? {
-            i += 1;
-            continue;
-        }
-        match args[i].as_str() {
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            "--fd" => fd_specs.push(take_value(args, &mut i)?),
-            "--output" => output = Some(take_value(args, &mut i)?),
-            "--tsv" => tsv = true,
-            other if other.starts_with("--") => return Err(format!("unknown option `{other}`")),
-            other => {
-                if input.is_some() {
-                    return Err(format!("unexpected positional argument `{other}`"));
-                }
-                input = Some(other.to_string());
-            }
-        }
-        i += 1;
-    }
-    if fd_specs.is_empty() {
-        return Err("at least one --fd is required".to_string());
-    }
-    Ok(SnapshotOptions {
-        input: input.ok_or_else(|| USAGE.to_string())?,
-        fd_specs,
-        output: output.ok_or_else(|| "snapshot requires --output <file.snap>".to_string())?,
-        tsv,
-        engine,
-    })
-}
-
-fn run_snapshot(options: &SnapshotOptions) -> Result<(), EngineError> {
-    let instance = load_input(&options.input, options.tsv)?.instance;
-    let schema = instance.schema().clone();
-    let specs: Vec<&str> = options.fd_specs.iter().map(String::as_str).collect();
-    let fds = FdSet::parse(&specs, &schema).map_err(EngineError::Fd)?;
-    let engine = options
-        .engine
-        .configure(RepairEngine::builder(instance, fds))
-        .build()?;
-    let blob = engine.snapshot()?;
-    std::fs::write(&options.output, &blob).map_err(|e| EngineError::io(&options.output, e))?;
-    println!(
-        "snapshot: {} bytes ({} tuples, {} FDs, {} conflict edges) written to {}",
-        blob.len(),
-        engine.problem().instance().len(),
-        engine.problem().fd_count(),
-        engine.problem().conflict_graph().edge_count(),
-        options.output,
+/// One materialized repair. Given the instance it repaired, the first 25
+/// changed cells are listed with their old and new values.
+fn repair_text(repair: &Repair, schema: Option<&Schema>, original: Option<&Instance>) -> String {
+    let mut out = format!(
+        "repair for τ = {}:\n  modified FDs : {}\n  FD distance  : {:.1}\n  cell changes : {}",
+        repair.tau,
+        fds_text(&repair.modified_fds, schema),
+        repair.dist_c,
+        repair.data_changes()
     );
-    println!("restore it with: rtclean restore {}", options.output);
-    Ok(())
-}
-
-/// Options of the `restore` subcommand: a snapshot file plus the shared
-/// repair-selection surface.
-#[derive(Debug, Clone, PartialEq)]
-struct RestoreOptions {
-    input: String,
-    mode: Mode,
-    output: Option<String>,
-}
-
-fn parse_restore_args(args: &[String]) -> Result<RestoreOptions, String> {
-    let mut input: Option<String> = None;
-    let mut mode: Option<Mode> = None;
-    let mut output = None;
-
-    let mut i = 0;
-    while i < args.len() {
-        if consume_mode_option(args, &mut i, &mut mode, &mut output)? {
-            i += 1;
-            continue;
-        }
-        match args[i].as_str() {
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other if other.starts_with("--") => return Err(format!("unknown option `{other}`")),
-            other => {
-                if input.is_some() {
-                    return Err(format!("unexpected positional argument `{other}`"));
-                }
-                input = Some(other.to_string());
-            }
-        }
-        i += 1;
-    }
-    Ok(RestoreOptions {
-        input: input.ok_or_else(|| USAGE.to_string())?,
-        mode: mode.unwrap_or(Mode::Spectrum),
-        output,
-    })
-}
-
-fn run_restore(options: &RestoreOptions) -> Result<(), EngineError> {
-    let bytes = std::fs::read(&options.input).map_err(|e| EngineError::io(&options.input, e))?;
-    let engine = RepairEngine::restore(&bytes)?;
-    let instance = engine.problem().instance().clone();
-    let schema = instance.schema().clone();
-    let stats = engine.stats();
-    println!(
-        "restored {} tuples × {} attributes, {} FDs, {} conflict edges from {}",
-        instance.len(),
-        schema.arity(),
-        engine.problem().fd_count(),
-        engine.problem().conflict_graph().edge_count(),
-        options.input,
-    );
-    println!(
-        "prepared state came back warm: conflict graph builds since restore = {}\n",
-        stats.conflict_graph_builds
-    );
-    report_results(
-        &engine,
-        &instance,
-        &schema,
-        options.mode,
-        options.output.as_deref(),
-    )
-}
-
-/// Options of the `serve` subcommand.
-#[derive(Debug, Clone, PartialEq)]
-struct ServeOptions {
-    listen: String,
-    unix: Option<String>,
-    config: ServerConfig,
-}
-
-fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
-    let mut options = ServeOptions {
-        listen: "127.0.0.1:7171".to_string(),
-        unix: None,
-        config: ServerConfig::default(),
+    let Some(original) = original else {
+        return out;
     };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            "--listen" => options.listen = take_value(args, &mut i)?,
-            "--unix" => options.unix = Some(take_value(args, &mut i)?),
-            "--max-sessions" => {
-                let v = take_value(args, &mut i)?;
-                options.config.max_sessions = v
-                    .parse()
-                    .map_err(|_| format!("invalid --max-sessions value `{v}`"))?;
-            }
-            "--max-cells" => {
-                let v = take_value(args, &mut i)?;
-                options.config.max_session_cells = v
-                    .parse()
-                    .map_err(|_| format!("invalid --max-cells value `{v}`"))?;
-            }
-            "--idle-ops" => {
-                let v = take_value(args, &mut i)?;
-                options.config.idle_ops = v
-                    .parse()
-                    .map_err(|_| format!("invalid --idle-ops value `{v}`"))?;
-            }
-            "--max-connections" => {
-                let v = take_value(args, &mut i)?;
-                options.config.max_connections = v
-                    .parse()
-                    .map_err(|_| format!("invalid --max-connections value `{v}`"))?;
-            }
-            "--data-dir" => {
-                options.config.data_dir = Some(std::path::PathBuf::from(take_value(args, &mut i)?));
-            }
-            "--wal-sync" => options.config.wal_sync = true,
-            other => return Err(format!("unknown serve option `{other}`")),
-        }
-        i += 1;
+    let value = |instance: &Instance, cell| {
+        instance
+            .cell(cell)
+            .map(|v| v.to_string())
+            .unwrap_or_default()
+    };
+    for &cell in repair.changed_cells.iter().take(25) {
+        out.push_str(&format!(
+            "\n    row {} [{}]: {} -> {}",
+            cell.row,
+            original.schema().attr_name(cell.attr).unwrap_or("?"),
+            value(original, cell),
+            value(&repair.repaired_instance, cell)
+        ));
     }
-    Ok(options)
+    if repair.changed_cells.len() > 25 {
+        out.push_str(&format!(
+            "\n    ... and {} more",
+            repair.changed_cells.len() - 25
+        ));
+    }
+    out
 }
 
-fn run_serve(options: &ServeOptions) -> Result<(), String> {
-    let server = match &options.unix {
+/// What one applied mutation batch changed.
+fn effect_line(e: &MutationEffect) -> String {
+    format!(
+        "rows +{}/-{}  cells ~{}  fds +{}/-{}  edges +{}/-{}",
+        e.rows_inserted,
+        e.rows_deleted,
+        e.cells_updated,
+        e.fds_added,
+        e.fds_removed,
+        e.edges_added,
+        e.edges_removed
+    )
+}
+
+fn cache_text(retained: bool) -> &'static str {
+    if retained {
+        "kept"
+    } else {
+        "reset"
+    }
+}
+
+/// A session's engine statistics.
+fn stats_block(stats: &EngineStats) -> String {
+    format!(
+        "conflict graph builds {} (rebuilds avoided {})\n\
+         repair queries {}  sweeps {}  points {}\n\
+         states expanded {}  generated {}  truncated {}",
+        stats.conflict_graph_builds,
+        stats.graph_rebuild_avoided,
+        stats.repair_queries,
+        stats.sweeps_started,
+        stats.points_materialized,
+        stats.states_expanded,
+        stats.states_generated,
+        stats.truncated,
+    )
+}
+
+fn serve(args: &Args) -> Result<(), String> {
+    let config = args.server.clone();
+    let server = match &args.unix {
         Some(path) => {
             #[cfg(unix)]
             {
-                Server::bind_unix_with(path, options.config.clone())
+                Server::bind_unix_with(path, config)
                     .map_err(|e| format!("cannot bind unix socket {path}: {e}"))?
             }
             #[cfg(not(unix))]
@@ -876,21 +731,21 @@ fn run_serve(options: &ServeOptions) -> Result<(), String> {
                 return Err("unix sockets are not available on this platform".to_string());
             }
         }
-        None => Server::bind_tcp_with(&options.listen, options.config.clone())
-            .map_err(|e| format!("cannot bind {}: {e}", options.listen))?,
+        None => Server::bind_tcp_with(&args.listen, config)
+            .map_err(|e| format!("cannot bind {}: {e}", args.listen))?,
     };
     match server.local_addr() {
         Some(addr) => println!("rtclean serve: listening on {addr}"),
         None => println!(
             "rtclean serve: listening on unix socket {}",
-            options.unix.as_deref().unwrap_or("?")
+            args.unix.as_deref().unwrap_or("?")
         ),
     }
-    if let Some(dir) = &options.config.data_dir {
+    if let Some(dir) = &args.server.data_dir {
         println!(
             "durable sessions in {} ({}); restarts recover them by restore + WAL replay",
             dir.display(),
-            if options.config.wal_sync {
+            if args.server.wal_sync {
                 "WAL fsynced per mutation"
             } else {
                 "WAL buffered"
@@ -1015,60 +870,33 @@ fn repl_eval(client: &Client, session: &mut Option<Session>, line: &str) -> Resu
             let active = session.as_mut().expect("checked above");
             let (effect, retained) = active.apply_text(&text).map_err(|e| e.to_string())?;
             Ok(format!(
-                "applied: rows +{}/-{}  cells ~{}  fds +{}/-{}  edges +{}/-{}  sweep cache {}",
-                effect.rows_inserted,
-                effect.rows_deleted,
-                effect.cells_updated,
-                effect.fds_added,
-                effect.fds_removed,
-                effect.edges_added,
-                effect.edges_removed,
-                if retained { "kept" } else { "reset" },
+                "applied: {}  sweep cache {}",
+                effect_line(&effect),
+                cache_text(retained)
             ))
         }
         "repair" => {
             need_session(session)?;
-            let mut spec: Option<TauSpec> = None;
+            let mut mode = Mode::Spectrum;
+            let mut output = None;
             let mut i = 1;
             while i < tokens.len() {
-                match tokens[i].as_str() {
-                    "--tau" => {
-                        let v = take_value(&tokens, &mut i)?;
-                        spec = Some(TauSpec::Absolute(
-                            v.parse()
-                                .map_err(|_| format!("invalid --tau value `{v}`"))?,
-                        ));
-                    }
-                    "--tau-r" => {
-                        let v = take_value(&tokens, &mut i)?;
-                        let f: f64 = v
-                            .parse()
-                            .map_err(|_| format!("invalid --tau-r value `{v}`"))?;
-                        spec = Some(TauSpec::relative(f).map_err(|e| format!("--tau-r: {e}"))?);
-                    }
-                    other => return Err(format!("unknown repair option `{other}`")),
+                if !consume_mode_option(&tokens, &mut i, &mut mode, &mut output)? {
+                    return Err(format!("unknown repair option `{}`", tokens[i]));
                 }
                 i += 1;
             }
-            let spec = spec.ok_or("usage: repair --tau <N> | --tau-r <F>")?;
+            let (Mode::Repair(spec), None) = (mode, output) else {
+                return Err("usage: repair --tau <N> | --tau-r <F>".to_string());
+            };
             let active = session.as_mut().expect("checked above");
-            let schema = active.schema().cloned();
             let repair = match spec {
                 TauSpec::Absolute(t) => active.repair_at(t),
                 TauSpec::Relative(f) => active.repair_at_relative(f),
             }
             .map_err(|e| e.to_string())?;
-            let fds = match &schema {
-                Some(s) => repair.modified_fds.display_with(s),
-                None => format!("{} FDs", repair.modified_fds.len()),
-            };
-            Ok(format!(
-                "repair for τ = {}:\n  modified FDs : {}\n  FD distance  : {:.1}\n  cell changes : {}",
-                repair.tau,
-                fds,
-                repair.dist_c,
-                repair.data_changes(),
-            ))
+            // The session holds no copy of the data, so no cell listing.
+            Ok(repair_text(&repair, active.schema(), None))
         }
         "sweep" | "spectrum" => {
             need_session(session)?;
@@ -1100,21 +928,10 @@ fn repl_eval(client: &Client, session: &mut Option<Session>, line: &str) -> Resu
                     format!("{n} points{}", if done { " (range exhausted)" } else { "" }),
                 )
             };
-            let schema = active.schema().cloned();
             let mut out = String::new();
             for point in &points {
-                let fds = match &schema {
-                    Some(s) => point.repair.modified_fds.display_with(s),
-                    None => format!("{} FDs", point.repair.modified_fds.len()),
-                };
-                out.push_str(&format!(
-                    "  τ ∈ [{:>4}, {:>4}]  FD cost {:>10.1}  cell changes {:>5}   {}\n",
-                    point.tau_range.0,
-                    point.tau_range.1,
-                    point.repair.dist_c,
-                    point.repair.data_changes(),
-                    fds,
-                ));
+                out.push_str(&point_line(point, active.schema()));
+                out.push('\n');
             }
             out.push_str(&trailer);
             Ok(out)
@@ -1122,20 +939,7 @@ fn repl_eval(client: &Client, session: &mut Option<Session>, line: &str) -> Resu
         "stats" => {
             need_session(session)?;
             let active = session.as_mut().expect("checked above");
-            let stats = active.stats().map_err(|e| e.to_string())?;
-            Ok(format!(
-                "conflict graph builds {} (rebuilds avoided {})\n\
-                 repair queries {}  sweeps {}  points {}\n\
-                 states expanded {}  generated {}  truncated {}",
-                stats.conflict_graph_builds,
-                stats.graph_rebuild_avoided,
-                stats.repair_queries,
-                stats.sweeps_started,
-                stats.points_materialized,
-                stats.states_expanded,
-                stats.states_generated,
-                stats.truncated,
-            ))
+            Ok(stats_block(&active.stats().map_err(|e| e.to_string())?))
         }
         "server-stats" => {
             let counters = client.server_stats().map_err(|e| e.to_string())?;
@@ -1184,7 +988,7 @@ fn repl_eval(client: &Client, session: &mut Option<Session>, line: &str) -> Resu
     }
 }
 
-fn run_connect(target: &str) -> Result<(), String> {
+fn connect(target: &str) -> Result<(), String> {
     let client = Client::connect(target).map_err(|e| format!("cannot connect to {target}: {e}"))?;
     client.ping().map_err(|e| e.to_string())?;
     println!("connected to {target} — type `help` for commands, `quit` to leave");
@@ -1218,110 +1022,26 @@ fn run_connect(target: &str) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("serve") {
-        return match parse_serve_args(&args[1..]) {
-            Ok(options) => match run_serve(&options) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(message) => {
-                    eprintln!("error: {message}");
-                    ExitCode::FAILURE
-                }
-            },
-            Err(message) => {
-                eprintln!("{message}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("connect") {
-        let target = args.get(1).cloned().unwrap_or("127.0.0.1:7171".to_string());
-        if args.len() > 2 || target.starts_with("--") && target != "--help" {
-            eprintln!("usage: rtclean connect [<host:port> | unix:<path>]");
-            return ExitCode::FAILURE;
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let outcome = match parse(&argv) {
+        Err(Usage::Help) => {
+            print!("{USAGE}");
+            return ExitCode::SUCCESS;
         }
-        if target == "--help" {
-            eprintln!("{USAGE}");
-            return ExitCode::FAILURE;
-        }
-        return match run_connect(&target) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(message) => {
-                eprintln!("error: {message}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("scenario") {
-        return match parse_scenario_args(&args[1..]) {
-            Ok(options) => match run_scenario(&options) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            },
-            Err(message) => {
-                eprintln!("{message}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("snapshot") {
-        return match parse_snapshot_args(&args[1..]) {
-            Ok(options) => match run_snapshot(&options) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            },
-            Err(message) => {
-                eprintln!("{message}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("restore") {
-        return match parse_restore_args(&args[1..]) {
-            Ok(options) => match run_restore(&options) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            },
-            Err(message) => {
-                eprintln!("{message}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("apply") {
-        return match parse_apply_args(&args[1..]) {
-            Ok(options) => match run_apply(&options) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            },
-            Err(message) => {
-                eprintln!("{message}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    match parse_args(&args) {
-        Ok(options) => match run(&options) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        Err(message) => {
+        Err(Usage::Error(message)) => {
             eprintln!("{message}");
+            return ExitCode::FAILURE;
+        }
+        Ok(args) => match args.command {
+            Command::Serve => serve(&args),
+            Command::Connect => connect(&args.input),
+            _ => run(&args).map_err(|e| e.to_string()),
+        },
+    };
+    match outcome {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(message) => {
+            eprintln!("error: {message}");
             ExitCode::FAILURE
         }
     }
@@ -1335,9 +1055,38 @@ mod tests {
         list.iter().map(|s| s.to_string()).collect()
     }
 
+    /// Parses a command line that must be valid.
+    fn parsed(list: &[&str]) -> Args {
+        parse(&args(list)).unwrap()
+    }
+
+    fn usage_error(list: &[&str]) -> String {
+        match parse(&args(list)) {
+            Err(Usage::Error(message)) => message,
+            other => panic!("expected a usage error for {list:?}, got {other:?}"),
+        }
+    }
+
+    /// Small, serial, fast engine settings for end-to-end tests.
+    const FAST: [&str; 6] = [
+        "--weight",
+        "count",
+        "--max-expansions",
+        "1000",
+        "--threads",
+        "serial",
+    ];
+
+    fn fast(list: &[&str]) -> Args {
+        let mut all = list.to_vec();
+        all.extend_from_slice(&FAST);
+        parsed(&all)
+    }
+
     #[test]
     fn parses_minimal_spectrum_invocation() {
-        let o = parse_args(&args(&["data.csv", "--fd", "A->B"])).unwrap();
+        let o = parsed(&["data.csv", "--fd", "A->B"]);
+        assert_eq!(o.command, Command::Run);
         assert_eq!(o.input, "data.csv");
         assert_eq!(o.fd_specs, vec!["A->B".to_string()]);
         assert_eq!(o.mode, Mode::Spectrum);
@@ -1347,7 +1096,7 @@ mod tests {
 
     #[test]
     fn parses_full_single_repair_invocation() {
-        let o = parse_args(&args(&[
+        let o = parsed(&[
             "d.csv",
             "--fd",
             "A->B",
@@ -1363,8 +1112,7 @@ mod tests {
             "9",
             "--max-expansions",
             "1234",
-        ]))
-        .unwrap();
+        ]);
         assert_eq!(o.fd_specs.len(), 2);
         assert_eq!(o.mode, Mode::Repair(TauSpec::Relative(0.25)));
         assert_eq!(o.engine.weight, WeightKind::Entropy);
@@ -1375,49 +1123,78 @@ mod tests {
 
     #[test]
     fn rejects_bad_input() {
-        assert!(parse_args(&args(&["--fd", "A->B"])).is_err()); // no input file
-        assert!(parse_args(&args(&["d.csv"])).is_err()); // no FDs
-        assert!(parse_args(&args(&["d.csv", "--fd", "A->B", "--tau", "x"])).is_err());
-        assert!(parse_args(&args(&["d.csv", "--fd", "A->B", "--tau-r", "1.5"])).is_err());
-        assert!(parse_args(&args(&["d.csv", "--fd", "A->B", "--weight", "bogus"])).is_err());
-        assert!(parse_args(&args(&["d.csv", "--fd", "A->B", "--bogus"])).is_err());
-        assert!(parse_args(&args(&["d.csv", "extra.csv", "--fd", "A->B"])).is_err());
-        assert!(parse_args(&args(&["--help"])).is_err());
+        assert_eq!(usage_error(&["--fd", "A->B"]), USAGE); // no input file
+        assert!(usage_error(&["d.csv"]).contains("--fd")); // no FDs
+        assert!(parse(&args(&["d.csv", "--fd", "A->B", "--tau", "x"])).is_err());
+        assert!(parse(&args(&["d.csv", "--fd", "A->B", "--tau-r", "1.5"])).is_err());
+        assert!(parse(&args(&["d.csv", "--fd", "A->B", "--weight", "bogus"])).is_err());
+        assert!(parse(&args(&["d.csv", "--fd", "A->B", "--bogus"])).is_err());
+        assert!(parse(&args(&["d.csv", "extra.csv", "--fd", "A->B"])).is_err());
+        // --output writes one repair, so the spectrum mode refuses it.
+        let message = usage_error(&["d.csv", "--fd", "A->B", "--output", "o.csv"]);
+        assert!(message.contains("--tau") && message.contains("--tau-r"));
+        assert_eq!(parse(&args(&["--help"])), Err(Usage::Help));
+        assert_eq!(parse(&args(&["restore", "-h"])), Err(Usage::Help));
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_per_subcommand() {
+        let cases: [(&[&str], &str); 6] = [
+            (&["d.csv", "--log", "m.json"], "unknown option `--log`"),
+            (
+                &["apply", "d.csv", "--output", "o"],
+                "unknown option `--output`",
+            ),
+            (
+                &["snapshot", "d.csv", "--tau", "1"],
+                "unknown option `--tau`",
+            ),
+            (
+                &["restore", "s.snap", "--seed", "3"],
+                "unknown option `--seed`",
+            ),
+            (
+                &["scenario", "hospital", "--fd", "A->B"],
+                "unknown option `--fd`",
+            ),
+            (&["serve", "--seed", "1"], "unknown serve option `--seed`"),
+        ];
+        for (line, expected) in cases {
+            assert_eq!(usage_error(line), expected, "{line:?}");
+        }
+        assert_eq!(usage_error(&["serve", "x"]), "unknown serve option `x`");
+        let connect = "usage: rtclean connect [<host:port> | unix:<path>]";
+        assert_eq!(usage_error(&["connect", "--tau", "1"]), connect);
+        assert_eq!(usage_error(&["connect", "a:1", "b:2"]), connect);
+        assert_eq!(parsed(&["connect"]).input, "127.0.0.1:7171");
     }
 
     #[test]
     fn tau_mode_parses_absolute_budget() {
-        let o = parse_args(&args(&["d.csv", "--fd", "A->B", "--tau", "7"])).unwrap();
+        let o = parsed(&["d.csv", "--fd", "A->B", "--tau", "7"]);
         assert_eq!(o.mode, Mode::Repair(TauSpec::Absolute(7)));
     }
 
     #[test]
     fn threads_flag_parses_all_spellings() {
-        let o = parse_args(&args(&["d.csv", "--fd", "A->B"])).unwrap();
+        let o = parsed(&["d.csv", "--fd", "A->B"]);
         assert_eq!(o.engine.threads, Parallelism::Auto);
-        let o = parse_args(&args(&["d.csv", "--fd", "A->B", "--threads", "serial"])).unwrap();
+        let o = parsed(&["d.csv", "--fd", "A->B", "--threads", "serial"]);
         assert_eq!(o.engine.threads, Parallelism::Serial);
-        let o = parse_args(&args(&["d.csv", "--fd", "A->B", "--threads", "4"])).unwrap();
+        let o = parsed(&["d.csv", "--fd", "A->B", "--threads", "4"]);
         assert_eq!(o.engine.threads, Parallelism::Fixed(4));
-        assert!(parse_args(&args(&["d.csv", "--fd", "A->B", "--threads", "x"])).is_err());
+        assert!(parse(&args(&["d.csv", "--fd", "A->B", "--threads", "x"])).is_err());
     }
 
     #[test]
     fn missing_input_file_is_a_typed_error_not_a_panic() {
-        let options = Options {
-            input: "/nonexistent/definitely_missing.csv".to_string(),
-            fd_specs: vec!["A->B".to_string()],
-            mode: Mode::Repair(TauSpec::Absolute(1)),
-            output: None,
-            tsv: false,
-            engine: EngineOpts {
-                weight: WeightKind::AttrCount,
-                seed: 0,
-                max_expansions: 1000,
-                threads: Parallelism::Serial,
-                shard_rows: ShardRows::Auto,
-            },
-        };
+        let options = fast(&[
+            "/nonexistent/definitely_missing.csv",
+            "--fd",
+            "A->B",
+            "--tau",
+            "1",
+        ]);
         let err = run(&options).unwrap_err();
         assert!(matches!(err, EngineError::Io { .. }), "got {err:?}");
         assert!(err.to_string().contains("definitely_missing.csv"));
@@ -1430,21 +1207,14 @@ mod tests {
         let input = dir.join("ragged.csv");
         // Second data row has the wrong number of fields.
         std::fs::write(&input, "A,B\n1,1\n2\n").unwrap();
-        let options = Options {
-            input: input.to_string_lossy().to_string(),
-            fd_specs: vec!["A->B".to_string()],
-            mode: Mode::Repair(TauSpec::Absolute(1)),
-            output: None,
-            tsv: false,
-            engine: EngineOpts {
-                weight: WeightKind::AttrCount,
-                seed: 0,
-                max_expansions: 1000,
-                threads: Parallelism::Serial,
-                shard_rows: ShardRows::Auto,
-            },
-        };
-        let err = run(&options).unwrap_err();
+        let err = run(&fast(&[
+            &input.to_string_lossy(),
+            "--fd",
+            "A->B",
+            "--tau",
+            "1",
+        ]))
+        .unwrap_err();
         // A parse failure is not an access failure: it surfaces as the
         // structured Parse error with the offending line, not Io.
         assert!(
@@ -1461,48 +1231,33 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let input = dir.join("in.csv");
         std::fs::write(&input, "A,B\n1,1\n1,2\n").unwrap();
-        let options = Options {
-            input: input.to_string_lossy().to_string(),
-            fd_specs: vec!["A->Nope".to_string()],
-            mode: Mode::Spectrum,
-            output: None,
-            tsv: false,
-            engine: EngineOpts {
-                weight: WeightKind::AttrCount,
-                seed: 0,
-                max_expansions: 1000,
-                threads: Parallelism::Serial,
-                shard_rows: ShardRows::Auto,
-            },
-        };
-        let err = run(&options).unwrap_err();
+        let err = run(&fast(&[&input.to_string_lossy(), "--fd", "A->Nope"])).unwrap_err();
         assert!(matches!(err, EngineError::Fd(_)), "got {err:?}");
         std::fs::remove_file(&input).ok();
     }
 
     #[test]
     fn apply_arg_parsing() {
-        let o = parse_apply_args(&args(&[
-            "d.csv", "--fd", "A->B", "--log", "m.json", "--verify", "--batch", "--weight", "count",
-        ]))
-        .unwrap();
+        let o = parsed(&[
+            "apply", "d.csv", "--fd", "A->B", "--log", "m.json", "--verify", "--batch", "--weight",
+            "count",
+        ]);
+        assert_eq!(o.command, Command::Apply);
         assert_eq!(o.input, "d.csv");
-        assert_eq!(o.log, "m.json");
+        assert_eq!(o.log.as_deref(), Some("m.json"));
         assert!(o.verify);
         assert!(!o.per_op);
         assert_eq!(o.engine.weight, WeightKind::AttrCount);
         // apply accepts --tsv like the main form (the usage text promises
         // it for input files generally).
-        let o = parse_apply_args(&args(&[
-            "d.tsv", "--fd", "A->B", "--log", "m.json", "--tsv",
-        ]))
-        .unwrap();
+        let o = parsed(&["apply", "d.tsv", "--fd", "A->B", "--log", "m.json", "--tsv"]);
         assert!(o.tsv);
+        assert!(o.per_op);
         // --log is mandatory, as is an input and at least one FD.
-        assert!(parse_apply_args(&args(&["d.csv", "--fd", "A->B"])).is_err());
-        assert!(parse_apply_args(&args(&["d.csv", "--log", "m.json"])).is_err());
-        assert!(parse_apply_args(&args(&["--fd", "A->B", "--log", "m.json"])).is_err());
-        assert!(parse_apply_args(&args(&["d.csv", "--fd", "A->B", "--log"])).is_err());
+        assert!(parse(&args(&["apply", "d.csv", "--fd", "A->B"])).is_err());
+        assert!(parse(&args(&["apply", "d.csv", "--log", "m.json"])).is_err());
+        assert!(parse(&args(&["apply", "--fd", "A->B", "--log", "m.json"])).is_err());
+        assert!(parse(&args(&["apply", "d.csv", "--fd", "A->B", "--log"])).is_err());
     }
 
     #[test]
@@ -1523,23 +1278,25 @@ mod tests {
             ]"#,
         )
         .unwrap();
-        for per_op in [true, false] {
-            let options = ApplyOptions {
-                input: input.to_string_lossy().to_string(),
-                fd_specs: vec!["A->B".to_string()],
-                log: log.to_string_lossy().to_string(),
-                tsv: false,
-                per_op,
-                verify: true,
-                engine: EngineOpts {
-                    weight: WeightKind::AttrCount,
-                    seed: 3,
-                    max_expansions: 100_000,
-                    threads: Parallelism::Serial,
-                    shard_rows: ShardRows::Auto,
-                },
-            };
-            run_apply(&options).unwrap();
+        for replay in ["--per-op", "--batch"] {
+            let (input, log) = (input.to_string_lossy(), log.to_string_lossy());
+            let options = parsed(&[
+                "apply",
+                &input,
+                "--fd",
+                "A->B",
+                "--log",
+                &log,
+                replay,
+                "--verify",
+                "--weight",
+                "count",
+                "--seed",
+                "3",
+                "--threads",
+                "serial",
+            ]);
+            run(&options).unwrap();
         }
         std::fs::remove_file(&input).ok();
         std::fs::remove_file(&log).ok();
@@ -1553,22 +1310,15 @@ mod tests {
         let log = dir.join("bad.json");
         std::fs::write(&input, "A,B\n1,1\n1,2\n").unwrap();
         std::fs::write(&log, r#"[{"op": "delete", "rows": [99]}]"#).unwrap();
-        let options = ApplyOptions {
-            input: input.to_string_lossy().to_string(),
-            fd_specs: vec!["A->B".to_string()],
-            log: log.to_string_lossy().to_string(),
-            tsv: false,
-            per_op: true,
-            verify: false,
-            engine: EngineOpts {
-                weight: WeightKind::AttrCount,
-                seed: 0,
-                max_expansions: 10_000,
-                threads: Parallelism::Serial,
-                shard_rows: ShardRows::Auto,
-            },
-        };
-        let err = run_apply(&options).unwrap_err();
+        let options = fast(&[
+            "apply",
+            &input.to_string_lossy(),
+            "--fd",
+            "A->B",
+            "--log",
+            &log.to_string_lossy(),
+        ]);
+        let err = run(&options).unwrap_err();
         assert!(matches!(err, EngineError::Mutation(_)), "got {err:?}");
         std::fs::remove_file(&input).ok();
         std::fs::remove_file(&log).ok();
@@ -1576,7 +1326,8 @@ mod tests {
 
     #[test]
     fn scenario_arg_parsing() {
-        let o = parse_scenario_args(&args(&[
+        let o = parsed(&[
+            "scenario",
             "hospital",
             "--seed",
             "9",
@@ -1588,44 +1339,27 @@ mod tests {
             "count",
             "--threads",
             "serial",
-        ]))
-        .unwrap();
-        assert_eq!(o.name, "hospital");
+        ]);
+        assert_eq!(o.command, Command::Scenario);
+        assert_eq!(o.input, "hospital");
         assert_eq!(o.engine.seed, 9);
         assert_eq!(o.rows, Some(25));
         assert_eq!(o.mode, Mode::Repair(TauSpec::Absolute(2)));
         assert_eq!(o.engine.weight, WeightKind::AttrCount);
         // Defaults: catalog seed, scenario-default rows, spectrum mode.
-        let o = parse_scenario_args(&args(&["sensors"])).unwrap();
+        let o = parsed(&["scenario", "sensors"]);
         assert_eq!(o.engine.seed, 17);
         assert_eq!(o.rows, None);
         assert_eq!(o.mode, Mode::Spectrum);
-        assert!(parse_scenario_args(&args(&[])).is_err());
-        assert!(parse_scenario_args(&args(&["sensors", "--rows", "x"])).is_err());
-        assert!(parse_scenario_args(&args(&["sensors", "--bogus"])).is_err());
+        assert!(parse(&args(&["scenario"])).is_err());
+        assert!(parse(&args(&["scenario", "sensors", "--rows", "x"])).is_err());
+        assert!(parse(&args(&["scenario", "sensors", "--bogus"])).is_err());
     }
 
     #[test]
     fn scenario_list_and_unknown_names() {
-        let list = ScenarioOptions {
-            name: "list".to_string(),
-            rows: None,
-            mode: Mode::Spectrum,
-            output: None,
-            engine: EngineOpts {
-                weight: WeightKind::DistinctCount,
-                seed: 17,
-                max_expansions: 1000,
-                threads: Parallelism::Serial,
-                shard_rows: ShardRows::Auto,
-            },
-        };
-        run_scenario(&list).unwrap();
-        let err = run_scenario(&ScenarioOptions {
-            name: "nope".to_string(),
-            ..list
-        })
-        .unwrap_err();
+        run(&fast(&["scenario", "list"])).unwrap();
+        let err = run(&fast(&["scenario", "nope"])).unwrap_err();
         assert!(matches!(err, EngineError::InvalidConfig(_)), "got {err:?}");
         assert!(err.to_string().contains("hospital"));
     }
@@ -1635,20 +1369,23 @@ mod tests {
         // τ far above δP: the search accepts the unmodified FDs immediately
         // and only the data-repair half runs, keeping this test fast in
         // debug builds.
-        let options = ScenarioOptions {
-            name: "hospital".to_string(),
-            rows: Some(30),
-            mode: Mode::Repair(TauSpec::Absolute(100_000)),
-            output: None,
-            engine: EngineOpts {
-                weight: WeightKind::AttrCount,
-                seed: 3,
-                max_expansions: 200_000,
-                threads: Parallelism::Serial,
-                shard_rows: ShardRows::Auto,
-            },
-        };
-        run_scenario(&options).unwrap();
+        let options = parsed(&[
+            "scenario",
+            "hospital",
+            "--rows",
+            "30",
+            "--tau",
+            "100000",
+            "--weight",
+            "count",
+            "--seed",
+            "3",
+            "--max-expansions",
+            "200000",
+            "--threads",
+            "serial",
+        ]);
+        run(&options).unwrap();
     }
 
     #[test]
@@ -1659,20 +1396,23 @@ mod tests {
         let input = dir.join("in.csv");
         let output = dir.join("out.csv");
         std::fs::write(&input, "A,B\n1,1\n1,2\n2,5\n").unwrap();
-        let options = Options {
-            input: input.to_string_lossy().to_string(),
-            fd_specs: vec!["A->B".to_string()],
-            mode: Mode::Repair(TauSpec::Absolute(2)),
-            output: Some(output.to_string_lossy().to_string()),
-            tsv: false,
-            engine: EngineOpts {
-                weight: WeightKind::AttrCount,
-                seed: 1,
-                max_expansions: 10_000,
-                threads: Parallelism::Fixed(2),
-                shard_rows: ShardRows::Auto,
-            },
-        };
+        let options = parsed(&[
+            &input.to_string_lossy(),
+            "--fd",
+            "A->B",
+            "--tau",
+            "2",
+            "--output",
+            &output.to_string_lossy(),
+            "--weight",
+            "count",
+            "--seed",
+            "1",
+            "--max-expansions",
+            "10000",
+            "--threads",
+            "2",
+        ]);
         run(&options).unwrap();
         let repaired = Instance::from_csv(&output, &CsvOptions::csv()).unwrap();
         assert_eq!(repaired.len(), 3);
@@ -1682,7 +1422,8 @@ mod tests {
 
     #[test]
     fn serve_args_parse_every_flag() {
-        let options = parse_serve_args(&args(&[
+        let options = parsed(&[
+            "serve",
             "--listen",
             "0.0.0.0:9000",
             "--max-sessions",
@@ -1693,21 +1434,21 @@ mod tests {
             "50",
             "--max-connections",
             "2",
-        ]))
-        .unwrap();
+        ]);
+        assert_eq!(options.command, Command::Serve);
         assert_eq!(options.listen, "0.0.0.0:9000");
         assert_eq!(options.unix, None);
-        assert_eq!(options.config.max_sessions, 3);
-        assert_eq!(options.config.max_session_cells, 1000);
-        assert_eq!(options.config.idle_ops, 50);
-        assert_eq!(options.config.max_connections, 2);
+        assert_eq!(options.server.max_sessions, 3);
+        assert_eq!(options.server.max_session_cells, 1000);
+        assert_eq!(options.server.idle_ops, 50);
+        assert_eq!(options.server.max_connections, 2);
 
-        let defaults = parse_serve_args(&[]).unwrap();
+        let defaults = parsed(&["serve"]);
         assert_eq!(defaults.listen, "127.0.0.1:7171");
-        assert_eq!(defaults.config, ServerConfig::default());
+        assert_eq!(defaults.server, ServerConfig::default());
 
-        assert!(parse_serve_args(&args(&["--max-sessions", "x"])).is_err());
-        assert!(parse_serve_args(&args(&["--bogus"])).is_err());
+        assert!(parse(&args(&["serve", "--max-sessions", "x"])).is_err());
+        assert!(parse(&args(&["serve", "--bogus"])).is_err());
     }
 
     #[test]

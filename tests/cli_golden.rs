@@ -17,7 +17,9 @@ const FIXTURES: [&str; 2] = ["employees.csv", "mutations.json"];
 const FDS: [&str; 4] = ["--fd", "Surname,GivenName->Income", "--fd", "Zip->City"];
 
 fn golden_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests").join("golden")
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("golden")
 }
 
 /// A fresh scratch directory for one case, seeded with the fixtures.
